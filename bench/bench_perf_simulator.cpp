@@ -1,8 +1,9 @@
 // E12b — simulator round-throughput benchmarks (google-benchmark).
 //
-// Measures full simulated rounds per second under a steady Zipf audience,
-// ablating the incremental matcher (reuse last round's connections) against
-// a from-scratch solve each round, and scaling n.
+// Measures full simulated rounds per second under a steady Zipf audience on
+// the dense (incremental matcher) and sparse (CSR repair) round paths, and
+// scaling n. BM_IncrementalRepair in bench_perf_flow measures the repair
+// against a from-scratch solve.
 #include <benchmark/benchmark.h>
 
 #include "alloc/permutation.hpp"
@@ -16,13 +17,12 @@ namespace {
 using namespace p2pvod;
 
 struct BenchWorld {
-  BenchWorld(std::uint32_t n, bool incremental, bool sparse = false)
+  BenchWorld(std::uint32_t n, bool sparse)
       : catalog(std::max<std::uint32_t>(2, 4 * n / 6), 4, 16),
         profile(model::CapacityProfile::homogeneous(n, 2.0, 4.0)),
         rng(0xBEEF),
         allocation(alloc::PermutationAllocator().allocate(catalog, profile, 6,
                                                           rng)) {
-    options.incremental = incremental;
     options.sparse = sparse;
     options.strict = false;
   }
@@ -34,9 +34,9 @@ struct BenchWorld {
   sim::SimulatorOptions options;
 };
 
-void run_rounds(benchmark::State& state, bool incremental) {
+void run_rounds(benchmark::State& state, bool sparse) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  BenchWorld world(n, incremental);
+  BenchWorld world(n, sparse);
   for (auto _ : state) {
     state.PauseTiming();
     sim::PreloadingStrategy strategy;
@@ -54,37 +54,14 @@ void run_rounds(benchmark::State& state, bool incremental) {
 }
 
 void BM_SimulatorIncremental(benchmark::State& state) {
-  run_rounds(state, true);
+  run_rounds(state, false);
 }
 BENCHMARK(BM_SimulatorIncremental)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SimulatorFullRematch(benchmark::State& state) {
-  run_rounds(state, false);
-}
-BENCHMARK(BM_SimulatorFullRematch)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 // Sparse CSR round path (E16) at the same workshop sizes — apples-to-apples
-// with the two dense variants above.
-void BM_SimulatorSparse(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  BenchWorld world(n, /*incremental=*/true, /*sparse=*/true);
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::PreloadingStrategy strategy;
-    sim::Simulator simulator(world.catalog, world.profile, world.allocation,
-                             strategy, world.options);
-    workload::ZipfDemand zipf(world.catalog.video_count(), 0.8, 0.1, 0x51);
-    workload::GrowthLimiter limited(zipf, 1.3);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(simulator.run(limited, 32).chunks_served);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-  state.counters["rounds/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 32.0,
-      benchmark::Counter::kIsRate);
-}
+// with the dense variant above.
+void BM_SimulatorSparse(benchmark::State& state) { run_rounds(state, true); }
 BENCHMARK(BM_SimulatorSparse)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
@@ -94,7 +71,7 @@ BENCHMARK(BM_SimulatorSparse)->Arg(64)->Arg(128)->Arg(256)
 // E16 acceptance bar: sparse wins construction by >= 5x at n >= 1e5).
 void run_rounds_at_scale(benchmark::State& state, bool sparse) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  BenchWorld world(n, /*incremental=*/true, sparse);
+  BenchWorld world(n, sparse);
   std::uint64_t rows_built = 0;
   std::uint64_t rounds = 0;
   for (auto _ : state) {

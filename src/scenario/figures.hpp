@@ -4,7 +4,7 @@
 // (or a documented extension); register_builtin_scenarios() installs all of
 // them, in figure order, into a registry. Definitions live in
 // src/scenario/figures/<id>.cpp and preserve the exact output bytes of the
-// pre-registry bench/bench_fig_*.cpp binaries (which are now thin shims).
+// original per-figure bench binaries; run them with p2pvod_bench <id>.
 #pragma once
 
 #include "scenario/registry.hpp"

@@ -7,7 +7,7 @@
 namespace p2pvod::scenario {
 
 void TableSink::on_banner(const Scenario& scenario) {
-  // Byte-identical to the legacy bench::banner() block.
+  // P2PVOD_CSV_DIR is the environment twin of p2pvod_bench --csv-dir.
   out_ << "#\n# " << scenario.title << " — " << scenario.claim << "\n"
        << "# (scale trials/sizes with P2PVOD_SCALE=<factor>; set "
           "P2PVOD_CSV_DIR to also write CSV series)\n#\n";

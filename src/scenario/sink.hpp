@@ -63,8 +63,8 @@ class CsvSink final : public ResultSink {
                 const std::string& table_id) override;
 
   /// Tables whose CSV could not be written (failures are logged, never
-  /// thrown, so the legacy shims keep running; drivers may turn a non-zero
-  /// count into a failing exit code).
+  /// thrown, so the run carries on; drivers may turn a non-zero count into
+  /// a failing exit code).
   [[nodiscard]] std::size_t failure_count() const noexcept {
     return failures_;
   }

@@ -45,6 +45,8 @@ struct RunReport {
   std::uint64_t rows_built = 0;
   std::uint64_t row_patches = 0;          ///< surgical CSR row edits (sparse)
   std::uint64_t sparse_full_rebuilds = 0; ///< dirty-fraction fallback trips
+  /// Cache-expiry calendar events applied by the sparse engine.
+  std::uint64_t sparse_expiry_events = 0;
 
   // --- topology (zone-aware matching extension; all zero without one) ---
   std::uint64_t intra_zone_chunks = 0;   ///< chunks served within a zone

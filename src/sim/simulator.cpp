@@ -1,85 +1,87 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
+#include "flow/hall.hpp"
 #include "flow/verify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "util/cli.hpp"
 #include "workload/demand.hpp"
 
 namespace p2pvod::sim {
 
 namespace {
 
-// Round-loop work counters, aggregated across every Simulator instance in
-// the process. kStable: each trial is sequential and fully determined by its
-// seed, and the multiset of trials evaluated is thread-count-invariant under
-// the repo's seeding contract. (Exception: speculative calibration evaluates
-// a thread-count-dependent probe set — see the Observability notes in the
-// README; pin P2PVOD_PROBE_WIDTH=1 to compare across thread counts there.)
-struct SimCounters {
-  obs::Counter& rounds;
-  obs::Counter& demands_admitted;
-  obs::Counter& demands_rejected;
-  obs::Counter& chunks_matched;
-  obs::Counter& chunks_unmatched;
-  obs::Counter& matcher_edges;
-  obs::Counter& intra_zone_chunks;
-  obs::Counter& cross_zone_chunks;
-  obs::Counter& link_cap_rejections;
-  obs::Counter& link_cap_rescues;
-  obs::Counter& sparse_topology_downgrades;
-  obs::Histogram& round_active_requests;
+// The round loop writes only RunReport; publish_round() mirrors each step's
+// delta of the fields below into the process-wide obs counters, aggregated
+// across every Simulator instance. kStable: each trial is sequential and
+// fully determined by its seed, and the multiset of trials evaluated is
+// thread-count-invariant under the repo's seeding contract. (Exception:
+// speculative calibration evaluates a thread-count-dependent probe set — see
+// the Observability notes in the README; pin P2PVOD_PROBE_WIDTH=1 to compare
+// across thread counts there.)
+struct PublishedField {
+  const char* counter;
+  std::uint64_t (*value_of)(const RunReport&);
+  /// Registered and fed only by simulators on the sparse engine.
+  bool sparse_only;
 };
 
-SimCounters& sim_counters() {
-  auto& registry = obs::MetricsRegistry::global();
-  static auto* counters = new SimCounters{
-      registry.counter("sim/rounds"),
-      registry.counter("sim/demands_admitted"),
-      registry.counter("sim/demands_rejected"),
-      registry.counter("sim/chunks_matched"),
-      registry.counter("sim/chunks_unmatched"),
-      registry.counter("sim/matcher_edges"),
-      registry.counter("sim/intra_zone_chunks"),
-      registry.counter("sim/cross_zone_chunks"),
-      registry.counter("sim/link_cap_rejections"),
-      registry.counter("sim/link_cap_rescues"),
-      registry.counter("sim/sparse_topology_downgrades"),
-      registry.histogram("sim/round_active_requests", obs::pow2_bounds(16)),
-  };
-  return *counters;
+template <auto Field>
+std::uint64_t read(const RunReport& report) {
+  return static_cast<std::uint64_t>(report.*Field);
 }
 
-/// Sparse-path work counters, mirrored once per round from the engine's
-/// cumulative SparseStats (as deltas) so the E16 scale ladder shows up in
-/// --metrics output like the dense path does. kStable for the same reason
-/// as SimCounters: each trial's round loop is sequential and seed-determined.
-struct SparseCounters {
-  obs::Counter& rows_built;
-  obs::Counter& row_patches;
-  obs::Counter& full_rebuilds;
-  obs::Counter& expiry_events;
-  obs::Counter& kept_connections;
-  obs::Counter& new_connections;
-};
+constexpr auto kPublished = std::to_array<PublishedField>({
+    {"sim/rounds", read<&RunReport::rounds>, false},
+    {"sim/demands_admitted", read<&RunReport::demands_admitted>, false},
+    {"sim/demands_rejected", read<&RunReport::demands_rejected>, false},
+    {"sim/chunks_matched", read<&RunReport::chunks_served>, false},
+    {"sim/chunks_unmatched", read<&RunReport::chunks_stalled>, false},
+    {"sim/matcher_edges", read<&RunReport::matcher_edges>, false},
+    {"sim/intra_zone_chunks", read<&RunReport::intra_zone_chunks>, false},
+    {"sim/cross_zone_chunks", read<&RunReport::cross_zone_chunks>, false},
+    {"sim/link_cap_rejections", read<&RunReport::link_cap_rejections>, false},
+    {"sim/link_cap_rescues", read<&RunReport::link_cap_rescues>, false},
+    {"sim/sparse_rows_built", read<&RunReport::rows_built>, true},
+    {"sim/sparse_row_patches", read<&RunReport::row_patches>, true},
+    {"sim/sparse_full_rebuilds", read<&RunReport::sparse_full_rebuilds>, true},
+    {"sim/sparse_expiry_events", read<&RunReport::sparse_expiry_events>, true},
+    {"sim/sparse_kept_connections", read<&RunReport::kept_connections>, true},
+    {"sim/sparse_new_connections", read<&RunReport::new_connections>, true},
+});
 
-SparseCounters& sparse_counters() {
+using PublishedCounters = std::array<obs::Counter*, kPublished.size()>;
+
+PublishedCounters resolve_counters(bool sparse) {
   auto& registry = obs::MetricsRegistry::global();
-  static auto* counters = new SparseCounters{
-      registry.counter("sim/sparse_rows_built"),
-      registry.counter("sim/sparse_row_patches"),
-      registry.counter("sim/sparse_full_rebuilds"),
-      registry.counter("sim/sparse_expiry_events"),
-      registry.counter("sim/sparse_kept_connections"),
-      registry.counter("sim/sparse_new_connections"),
-  };
-  return *counters;
+  PublishedCounters handles{};
+  for (std::size_t i = 0; i < kPublished.size(); ++i) {
+    if (sparse || !kPublished[i].sparse_only)
+      handles[i] = &registry.counter(kPublished[i].counter);
+  }
+  return handles;
+}
+
+/// Counter handles for kPublished, resolved once per engine kind; the dense
+/// set leaves sparse-only entries null so dense-only processes never
+/// register sim/sparse_*.
+const PublishedCounters& published_counters(bool sparse) {
+  static const PublishedCounters dense = resolve_counters(false);
+  if (!sparse) return dense;
+  static const PublishedCounters all = resolve_counters(true);
+  return all;
+}
+
+obs::Histogram& round_active_requests() {
+  static obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
+      "sim/round_active_requests", obs::pow2_bounds(16));
+  return histogram;
 }
 
 }  // namespace
@@ -127,24 +129,11 @@ Simulator::Simulator(const model::Catalog& catalog,
   online_.assign(profile_.size(), true);
 
   // The sparse engine repairs last round's matching and is blind to costs,
-  // so it cannot honor a topology. Asking for both in code is a config
-  // error; the P2PVOD_SPARSE env override instead downgrades to dense with a
-  // counter, so re-running a scenario suite under the knob doesn't crash the
-  // zone-aware scenarios.
+  // so it cannot honor a topology.
   if (options_.sparse && options_.topology != nullptr)
     throw std::invalid_argument(
         "Simulator: sparse engine cannot honor a topology (cost-aware "
         "matching is dense-only)");
-  if (util::env_positive_long("P2PVOD_SPARSE").value_or(0) > 0) {
-    if (options_.topology != nullptr) {
-      sim_counters().sparse_topology_downgrades.add();
-    } else {
-      options_.sparse = true;
-    }
-  }
-  if (const auto pct = util::env_positive_long("P2PVOD_SPARSE_REBUILD_PCT"))
-    options_.sparse_rebuild_fraction =
-        static_cast<double>(std::min(*pct, 100L)) / 100.0;
   if (options_.sparse) {
     sparse_ = std::make_unique<SparseRoundState>(
         profile_.size(), catalog_.stripe_count(), catalog_.duration(),
@@ -171,7 +160,6 @@ void Simulator::admit(const Demand& demand) {
     throw std::out_of_range("Simulator: demand from unknown box");
   if (!online_[demand.box] || !box_idle(demand.box)) {
     ++report_.demands_rejected;
-    sim_counters().demands_rejected.add();
     return;
   }
   ++report_.demands_admitted;
@@ -201,16 +189,13 @@ void Simulator::admit(const Demand& demand) {
   for (const PlannedRequest& plan : scratch_plans_) {
     if (plan.requester == model::kInvalidBox) continue;
     if (!online_.at(plan.requester)) {
-      swarms_.leave(demand.video);  // roll back the enter() above
+      swarms_.cancel_enter(demand.video);  // roll back the enter() above
       --report_.demands_admitted;
       ++report_.demands_rejected;
-      sim_counters().demands_rejected.add();
       return;
     }
     ++network_requests;
   }
-  // Global counter only after the rollback window: counters are monotonic.
-  sim_counters().demands_admitted.add();
 
   const auto session_id = static_cast<SessionId>(sessions_.size());
   sessions_.push_back({demand.box, demand.video, now_, playback_start, ends,
@@ -261,9 +246,7 @@ void Simulator::solve_round() {
       sparse_ != nullptr ? solve_round_sparse() : solve_round_dense();
 
   report_.chunks_served += served;
-  sim_counters().chunks_matched.add(served);
   const std::uint64_t unserved = live_.size() - served;
-  sim_counters().chunks_unmatched.add(unserved);
   if (unserved > 0) {
     report_.chunks_stalled += unserved;
     if (report_.first_stall < 0) {
@@ -304,33 +287,32 @@ flow::ConnectionProblem Simulator::build_connection_problem() {
 }
 
 void Simulator::record_stall_witness() {
-  const flow::ConnectionProblem problem = build_connection_problem();
-  if (const auto witness = problem.infeasibility_witness())
-    report_.stall_witness_size = static_cast<std::uint32_t>(witness->size());
+  flow::ConnectionProblem problem = build_connection_problem();
+  auto witness = problem.infeasibility_witness();
+  if (!witness) return;  // link caps can stall a Hall-feasible round
+  report_.stall_witness_size = static_cast<std::uint32_t>(witness->size());
+  if (checks_enabled())
+    stall_record_.emplace(StallRecord{std::move(problem), std::move(*witness)});
 }
 
 std::uint32_t Simulator::solve_round_dense() {
   flow::ConnectionProblem problem = build_connection_problem();
   report_.rows_built += live_.size();  // dense collects every row, every round
   report_.matcher_edges += problem.edge_count();
-  sim_counters().matcher_edges.add(problem.edge_count());
 
   flow::MatchResult result;
   {
     OBS_SPAN("sim/match");
     if (options_.topology != nullptr) {
       result = solve_zone_aware(problem);
-    } else if (options_.incremental) {
+    } else {
       result = matcher_.solve(problem, live_.carry);
       if (options_.verify_incremental) {
         flow::validate_assignment(problem, result);
-        const flow::MatchResult reference = problem.solve(options_.engine);
-        if (reference.served != result.served)
+        if (problem.solve().served != result.served)
           throw std::logic_error(
               "Simulator: incremental matcher disagrees with reference solve");
       }
-    } else {
-      result = problem.solve(options_.engine);
     }
   }
 
@@ -338,7 +320,7 @@ std::uint32_t Simulator::solve_round_dense() {
   live_.carry = std::move(result.assignment);
   // Connection-reuse accounting comes from the incremental matcher, which a
   // topology supersedes — don't report stats from a matcher that never ran.
-  if (options_.incremental && options_.topology == nullptr) {
+  if (options_.topology == nullptr) {
     report_.kept_connections = matcher_.stats().kept_connections;
     report_.new_connections = matcher_.stats().new_connections;
   }
@@ -360,7 +342,6 @@ std::uint32_t Simulator::solve_round_sparse() {
     served = sparse_->solve(now_, capacity_slots_, collect);
   }
   report_.matcher_edges += sparse_->edge_count();
-  sim_counters().matcher_edges.add(sparse_->edge_count());
   for (std::size_t i = 0; i < live_.size(); ++i)
     live_.carry[i] = sparse_->assignment(live_.slot[i]);
   const SparseStats& stats = sparse_->stats();
@@ -369,18 +350,7 @@ std::uint32_t Simulator::solve_round_sparse() {
   report_.rows_built = stats.rows_built;
   report_.row_patches = stats.row_patches;
   report_.sparse_full_rebuilds = stats.full_rebuilds;
-  SparseCounters& mirrored = sparse_counters();
-  mirrored.rows_built.add(stats.rows_built - sparse_reported_.rows_built);
-  mirrored.row_patches.add(stats.row_patches - sparse_reported_.row_patches);
-  mirrored.full_rebuilds.add(stats.full_rebuilds -
-                             sparse_reported_.full_rebuilds);
-  mirrored.expiry_events.add(stats.expiry_events -
-                             sparse_reported_.expiry_events);
-  mirrored.kept_connections.add(stats.kept_connections -
-                                sparse_reported_.kept_connections);
-  mirrored.new_connections.add(stats.new_connections -
-                               sparse_reported_.new_connections);
-  sparse_reported_ = stats;
+  report_.sparse_expiry_events = stats.expiry_events;
 
   if (options_.verify_incremental) {
     // Reconstruct the round's dense problem from ground truth and validate
@@ -393,8 +363,7 @@ std::uint32_t Simulator::solve_round_sparse() {
     check.served = served;
     check.complete = served == live_.size();
     flow::validate_assignment(problem, check);
-    const flow::MatchResult reference = problem.solve(options_.engine);
-    if (reference.served != served)
+    if (problem.solve().served != served)
       throw std::logic_error(
           "Simulator: sparse matcher disagrees with reference solve");
   }
@@ -435,8 +404,6 @@ flow::MatchResult Simulator::solve_zone_aware(
   }
   report_.intra_zone_chunks += intra;
   report_.cross_zone_chunks += cross;
-  sim_counters().intra_zone_chunks.add(intra);
-  sim_counters().cross_zone_chunks.add(cross);
   if (intra + cross > 0) {
     report_.cross_zone_fraction.add(static_cast<double>(cross) /
                                     static_cast<double>(intra + cross));
@@ -478,8 +445,6 @@ void Simulator::enforce_link_caps(const flow::ConnectionProblem& problem,
       flow::enforce_group_caps(problem, costs, groups, caps, result);
   report_.link_cap_rejections += outcome.rejections;
   report_.link_cap_rescues += outcome.rescues;
-  sim_counters().link_cap_rejections.add(outcome.rejections);
-  sim_counters().link_cap_rescues.add(outcome.rescues);
 }
 
 void Simulator::retire_completed() {
@@ -530,15 +495,6 @@ void Simulator::abort_session(SessionId id) {
   }
 }
 
-void Simulator::debug_check_capacity_total() const {
-#ifndef NDEBUG
-  std::uint64_t rescan = 0;
-  for (const std::uint32_t slots : capacity_slots_) rescan += slots;
-  assert(rescan == total_capacity_slots_ &&
-         "Simulator: capacity ±delta diverged from a full rescan");
-#endif
-}
-
 void Simulator::set_box_online(model::BoxId box, bool online) {
   if (box >= profile_.size())
     throw std::out_of_range("Simulator::set_box_online");
@@ -550,7 +506,6 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
   const std::uint32_t is = online ? nominal_capacity_[box] : 0u;
   capacity_slots_[box] = is;
   total_capacity_slots_ = total_capacity_slots_ - was + is;
-  debug_check_capacity_total();
 
   if (online) {
     busy_until_[box] = now_;  // rejoins idle; static storage is intact
@@ -614,21 +569,84 @@ void Simulator::step(const std::vector<Demand>& demands) {
   cache_.prune(now_);
 
   // 6. Connection matching for this round.
-  report_.active_requests.add(static_cast<double>(live_.size()));
-  sim_counters().rounds.add();
-  sim_counters().round_active_requests.observe(live_.size());
+  const std::uint64_t active = live_.size();
+  report_.active_requests.add(static_cast<double>(active));
   solve_round();
 
   // 7. Retire requests whose final chunk was delivered.
   if (!(stalled_ && options_.strict)) retire_completed();
 
+  report_.peak_swarm = swarms_.peak_size();
+  report_.rounds = now_ + 1;
+  if (checks_enabled()) check_invariants();
+  publish_round(active);
+
   // End-of-round time-series sample (one relaxed load when disabled). The
   // label is the round just simulated.
   if (obs::RoundSeries::active()) obs::RoundSeries::tick(now_);
-
-  report_.peak_swarm = swarms_.peak_size();
   ++now_;
-  report_.rounds = now_;
+}
+
+void Simulator::publish_round(std::uint64_t active_requests) {
+  static_assert(kPublished.size() == kPublishedFields);
+  const PublishedCounters& counters = published_counters(sparse_ != nullptr);
+  for (std::size_t i = 0; i < kPublished.size(); ++i) {
+    if (counters[i] == nullptr) continue;
+    const std::uint64_t value = kPublished[i].value_of(report_);
+    if (value != published_[i]) counters[i]->add(value - published_[i]);
+    published_[i] = value;
+  }
+  round_active_requests().observe(active_requests);
+}
+
+bool Simulator::checks_enabled() const noexcept {
+#ifdef NDEBUG
+  return options_.verify_incremental;
+#else
+  return true;
+#endif
+}
+
+void Simulator::check_invariants() const {
+  const auto fail = [](const char* what) {
+    throw std::logic_error(std::string("Simulator invariant broken: ") + what);
+  };
+
+  std::uint64_t capacity = 0;
+  for (const std::uint32_t slots : capacity_slots_) capacity += slots;
+  if (capacity != total_capacity_slots_)
+    fail("total_capacity_slots != sum of capacity_slots");
+
+  // A session is live until churn aborts it or its end event fires (the
+  // event's round leaves end_events_ when step() processes it).
+  const auto is_live = [this](const Session& session) {
+    return !session.aborted && end_events_.contains(session.ends);
+  };
+  std::vector<std::uint32_t> swarm(catalog_.video_count(), 0);
+  for (const Session& session : sessions_) {
+    if (is_live(session)) ++swarm[session.video];
+  }
+  for (model::VideoId v = 0; v < swarm.size(); ++v) {
+    if (swarms_.size(v) != swarm[v])
+      fail("swarm size != live sessions of the video");
+  }
+
+  std::vector<std::uint32_t> requests(sessions_.size(), 0);
+  for (std::size_t i = 0; i < live_.size(); ++i) ++requests[live_.session[i]];
+  for (const auto& [round, pending] : pending_) {
+    for (const PendingRequest& p : pending) ++requests[p.session];
+    (void)round;
+  }
+  for (SessionId id = 0; id < sessions_.size(); ++id) {
+    if (is_live(sessions_[id]) &&
+        sessions_[id].pending_requests != requests[id])
+      fail("session pending_requests != live + not-yet-activated requests");
+  }
+
+  if (stall_record_.has_value() &&
+      !flow::HallChecker::check_subset(stall_record_->problem,
+                                       stall_record_->witness))
+    fail("stall witness does not violate Hall's condition");
 }
 
 RunReport Simulator::run(workload::DemandGenerator& generator,

@@ -18,9 +18,12 @@
 //   7. requests that received their last chunk retire
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -52,11 +55,8 @@ struct Demand {
 };
 
 struct SimulatorOptions {
-  flow::Engine engine = flow::Engine::kDinic;
-  /// Reuse last round's connections and only rewire the difference (E12).
-  bool incremental = true;
-  /// Cross-check the incremental matcher against a from-scratch solve every
-  /// round (tests; expensive).
+  /// Cross-check every round's matching against a from-scratch Dinic solve
+  /// and run check_invariants() after every step (tests; expensive).
   bool verify_incremental = false;
   /// Stop at the first unserved request (the paper's feasibility semantics).
   /// When false, stalls are counted and positions advance (continuity metric).
@@ -68,7 +68,7 @@ struct SimulatorOptions {
   /// round's matching minimizes total zone-pair cost among maximum matchings
   /// (flow/min_cost) and cross-zone traffic is accounted in RunReport; link
   /// caps, when present, admission-control per-zone-pair connections.
-  /// Supersedes `incremental` — connection reuse is not cost-aware.
+  /// Connection reuse is not cost-aware, so zone-aware rounds re-solve.
   const net::Topology* topology = nullptr;
   /// Million-box path (E16): keep the candidate adjacency in a persistent
   /// CSR structure patched by deltas instead of rebuilt per round, and
@@ -77,13 +77,11 @@ struct SimulatorOptions {
   /// matchings; verify_incremental cross-checks the assignment itself);
   /// connection-level assignments may differ. Incompatible with `topology` —
   /// cost-aware matching is dense-only, and asking for both throws
-  /// std::invalid_argument. Env: P2PVOD_SPARSE=1 forces it on for any run
-  /// without a topology; zone-aware runs stay dense and count the downgrade
-  /// (sim/sparse_topology_downgrades).
+  /// std::invalid_argument.
   bool sparse = false;
   /// Dirty-row fraction above which the sparse path rebuilds every row from
   /// ground truth instead of patching (patch bookkeeping stops paying once
-  /// most rows changed anyway). Env: P2PVOD_SPARSE_REBUILD_PCT (0..100).
+  /// most rows changed anyway).
   double sparse_rebuild_fraction = 0.5;
 };
 
@@ -142,10 +140,21 @@ class Simulator {
   [[nodiscard]] std::uint64_t total_capacity_slots() const noexcept {
     return total_capacity_slots_;
   }
-  /// True when rounds run on the sparse CSR engine (options or env knob).
+  /// True when rounds run on the sparse CSR engine.
   [[nodiscard]] bool sparse_active() const noexcept {
     return sparse_ != nullptr;
   }
+
+  /// Re-derive the simulator's incremental bookkeeping from scratch and
+  /// throw std::logic_error naming the first invariant that disagrees:
+  ///   - total_capacity_slots() == Σ capacity_slots(b)
+  ///   - each swarm's size == its sessions neither aborted nor ended
+  ///   - each live session's pending request count == its live plus
+  ///     not-yet-activated requests
+  ///   - the first stall's recorded witness violates Hall's condition
+  /// step() runs it after every round under verify_incremental and in
+  /// builds without NDEBUG.
+  void check_invariants() const;
 
  private:
   struct Session {
@@ -167,7 +176,8 @@ class Simulator {
   void activate_pending();
   void solve_round();
   /// Dense engine: build this round's ConnectionProblem from scratch and
-  /// solve it (zone-aware / incremental / plain). Returns requests served.
+  /// solve it (zone-aware min-cost, or an incremental repair of last
+  /// round's assignment). Returns requests served.
   std::uint32_t solve_round_dense();
   /// Sparse engine: patch-and-repair round on the persistent CSR state.
   std::uint32_t solve_round_sparse();
@@ -175,7 +185,8 @@ class Simulator {
   /// the reference the sparse verify path validates against).
   [[nodiscard]] flow::ConnectionProblem build_connection_problem();
   /// Hall-violating witness for the first stall (rebuilds the round's
-  /// problem; runs once per run at most).
+  /// problem; runs once per run at most). Keeps the problem and witness for
+  /// check_invariants() when checks are on.
   void record_stall_witness();
   /// Cost-aware matching for the round (options_.topology set): min-cost
   /// solve, link-cap admission control, cross-zone accounting.
@@ -190,9 +201,11 @@ class Simulator {
                          flow::MatchResult& result);
   void retire_completed();
   void abort_session(SessionId id);
-  /// Debug builds: assert total_capacity_slots_ matches a full rescan after
-  /// a ±delta update.
-  void debug_check_capacity_total() const;
+  /// Mirror this step's RunReport delta into the process-wide sim/* obs
+  /// counters (the only place the round loop writes them) and observe the
+  /// round's active-request count.
+  void publish_round(std::uint64_t active_requests);
+  [[nodiscard]] bool checks_enabled() const noexcept;
 
   const model::Catalog& catalog_;
   const model::CapacityProfile& profile_;
@@ -205,9 +218,6 @@ class Simulator {
   flow::IncrementalMatcher matcher_;
   /// Persistent CSR adjacency + matching; null on the dense engine.
   std::unique_ptr<SparseRoundState> sparse_;
-  /// SparseStats values already mirrored into the obs counters; the stats
-  /// are cumulative per state, so each round adds only the delta.
-  SparseStats sparse_reported_;
 
   std::vector<Session> sessions_;
   std::vector<model::Round> busy_until_;
@@ -220,6 +230,16 @@ class Simulator {
   std::uint64_t total_capacity_slots_ = 0;
 
   RunReport report_;
+  /// RunReport fields mirrored into sim/* obs counters (kPublished in
+  /// simulator.cpp) and the values already published (see publish_round).
+  static constexpr std::size_t kPublishedFields = 16;
+  std::array<std::uint64_t, kPublishedFields> published_{};
+  /// First stall's problem and Hall witness; kept only when checks are on.
+  struct StallRecord {
+    flow::ConnectionProblem problem;
+    std::vector<std::uint32_t> witness;
+  };
+  std::optional<StallRecord> stall_record_;
   model::Round now_ = 0;
   bool stalled_ = false;
 

@@ -15,8 +15,19 @@ std::uint64_t SwarmRegistry::enter(model::VideoId v, model::Round /*now*/) {
   if (v >= current_.size()) throw std::out_of_range("SwarmRegistry::enter");
   const std::uint64_t ticket = entries_[v]++;
   ++current_[v];
+  peak_before_enter_ = peak_;
   peak_ = std::max(peak_, current_[v]);
   return ticket;
+}
+
+void SwarmRegistry::cancel_enter(model::VideoId v) {
+  if (v >= current_.size())
+    throw std::out_of_range("SwarmRegistry::cancel_enter");
+  if (current_[v] == 0 || entries_[v] == 0)
+    throw std::logic_error("SwarmRegistry::cancel_enter: no entry to undo");
+  --current_[v];
+  --entries_[v];
+  peak_ = peak_before_enter_;
 }
 
 void SwarmRegistry::leave(model::VideoId v) {

@@ -21,6 +21,11 @@ class SwarmRegistry {
   /// the box's entry number p (0-based) for preload-stripe selection.
   std::uint64_t enter(model::VideoId v, model::Round now);
 
+  /// Undo the most recent enter(v) as if it never happened: size, ticket
+  /// counter and peak all revert (an admission rolled back before it took
+  /// effect). Must directly follow that enter().
+  void cancel_enter(model::VideoId v);
+
   /// A viewing session of `v` ended (box left the swarm).
   void leave(model::VideoId v);
 
@@ -52,6 +57,7 @@ class SwarmRegistry {
   std::vector<std::uint32_t> round_start_;  // f at begin_round
   std::vector<std::uint64_t> entries_;      // lifetime joins
   std::uint32_t peak_ = 0;
+  std::uint32_t peak_before_enter_ = 0;  // restored by cancel_enter
 };
 
 }  // namespace p2pvod::sim

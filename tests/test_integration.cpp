@@ -159,7 +159,9 @@ TEST(Integration, EndToEndDeterminism) {
   EXPECT_EQ(r1.success, r2.success);
 }
 
-// Matcher engines and incremental mode give identical feasibility verdicts.
+// The dense incremental matcher and the sparse CSR engine give identical
+// feasibility verdicts; both are cross-checked against a from-scratch Dinic
+// solve every round.
 TEST(Integration, EngineChoiceDoesNotChangeOutcome) {
   const std::uint32_t n = 24, c = 4, k = 4;
   const m::Catalog catalog(12, c, 10);
@@ -169,22 +171,20 @@ TEST(Integration, EngineChoiceDoesNotChangeOutcome) {
       a::PermutationAllocator().allocate(catalog, profile, k, rng);
   s::PreloadingStrategy strategy;
 
-  auto run_with = [&](bool incremental, p2pvod::flow::Engine engine) {
+  auto run_with = [&](bool sparse) {
     s::SimulatorOptions options;
-    options.incremental = incremental;
-    options.engine = engine;
+    options.sparse = sparse;
+    options.verify_incremental = true;
     s::Simulator sim(catalog, profile, allocation, strategy, options);
     w::ZipfDemand zipf(12, 0.8, 0.2, 31);
     return sim.run(zipf, 30);
   };
 
-  const auto a1 = run_with(true, p2pvod::flow::Engine::kDinic);
-  const auto a2 = run_with(false, p2pvod::flow::Engine::kDinic);
-  const auto a3 = run_with(false, p2pvod::flow::Engine::kHopcroftKarp);
-  EXPECT_EQ(a1.success, a2.success);
-  EXPECT_EQ(a2.success, a3.success);
-  EXPECT_EQ(a1.chunks_served, a2.chunks_served);
-  EXPECT_EQ(a2.chunks_served, a3.chunks_served);
+  const auto dense = run_with(false);
+  const auto sparse = run_with(true);
+  EXPECT_EQ(dense.success, sparse.success);
+  EXPECT_EQ(dense.chunks_served, sparse.chunks_served);
+  EXPECT_EQ(dense.first_stall, sparse.first_stall);
 }
 
 // The binge viewer exercises the "end of previous + start of current" cache

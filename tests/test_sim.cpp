@@ -2,12 +2,22 @@
 // strategies, and hand-checkable end-to-end simulator scenarios.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "alloc/allocation.hpp"
+#include "alloc/permutation.hpp"
+#include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/strategy.hpp"
 #include "sim/swarm.hpp"
+#include "util/rng.hpp"
 #include "workload/trace.hpp"
+#include "workload/zipf.hpp"
 
 namespace s = p2pvod::sim;
 namespace m = p2pvod::model;
@@ -32,6 +42,20 @@ TEST(Swarm, SizeTracksEnterLeave) {
   reg.leave(0);
   EXPECT_EQ(reg.size(0), 1u);
   EXPECT_EQ(reg.peak_size(), 2u);
+}
+
+TEST(Swarm, CancelEnterRestoresTicketAndPeak) {
+  s::SwarmRegistry reg(2);
+  reg.enter(1, 0);
+  EXPECT_EQ(reg.enter(0, 0), 0u);
+  EXPECT_EQ(reg.peak_size(), 1u);
+  EXPECT_EQ(reg.enter(0, 0), 1u);  // raises the peak to 2 ...
+  reg.cancel_enter(0);             // ... and is undone
+  EXPECT_EQ(reg.size(0), 1u);
+  EXPECT_EQ(reg.total_entries(0), 1u);
+  EXPECT_EQ(reg.peak_size(), 1u);
+  EXPECT_EQ(reg.enter(0, 0), 1u);  // the cancelled ticket is reissued
+  EXPECT_THROW(reg.cancel_enter(5), std::out_of_range);
 }
 
 TEST(Swarm, LeaveOnEmptyThrows) {
@@ -478,4 +502,252 @@ TEST(Simulator, ActiveRequestsTracked) {
   EXPECT_EQ(sim.active_request_count(), 1u);
   sim.step({});                 // postponed joins
   EXPECT_EQ(sim.active_request_count(), 2u);
+}
+
+// Routes every demand's single stripe download through box 0 (a relay, in
+// the §4 sense) whatever box is watching, and records the tickets it saw.
+class ThroughBoxZero final : public s::RequestStrategy {
+ public:
+  void plan(m::BoxId /*b*/, m::VideoId v, std::uint64_t ticket, m::Round now,
+            s::Simulator& sim, std::vector<s::PlannedRequest>& out) override {
+    tickets.push_back(ticket);
+    out.push_back(
+        s::PlannedRequest::direct(0, sim.catalog().stripe_id(v, 0), now));
+  }
+  [[nodiscard]] std::string name() const override { return "through-box-0"; }
+
+  std::vector<std::uint64_t> tickets;
+};
+
+TEST(Simulator, RolledBackAdmissionLeavesNoSwarmTrace) {
+  // A plan whose requester is offline rejects the demand after the viewer
+  // already entered the swarm. The rollback must undo the ticket and the
+  // peak too, or the next viewer's preload stripe (ticket % c) shifts.
+  World world(4, 1, 6, 2.0, 1);
+  ThroughBoxZero strategy;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy);
+  sim.set_box_online(0, false);
+  sim.step({{1, 0}, {2, 0}});
+  EXPECT_EQ(sim.report().demands_rejected, 2u);
+  EXPECT_EQ(sim.report().demands_admitted, 0u);
+  EXPECT_EQ(sim.report().peak_swarm, 0u);
+  EXPECT_EQ(sim.swarms().size(0), 0u);
+  EXPECT_EQ(sim.swarms().total_entries(0), 0u);
+
+  sim.set_box_online(0, true);
+  sim.step({{1, 0}});
+  EXPECT_EQ(sim.report().demands_admitted, 1u);
+  ASSERT_EQ(strategy.tickets.size(), 3u);
+  EXPECT_EQ(strategy.tickets.back(), 0u);
+  EXPECT_EQ(sim.report().peak_swarm, 1u);
+  EXPECT_NO_THROW(sim.check_invariants());
+}
+
+// ------------------------------------------- run ledger and invariants
+
+namespace {
+
+/// One small run per configuration the round loop distinguishes.
+struct LedgerRun {
+  bool sparse = false;
+  bool strict = false;
+  bool verify = false;         ///< verify_incremental: step() checks too
+  double fail_prob = 0.0;      ///< per-box per-round online/offline flip
+  std::uint32_t zones = 0;     ///< 0 = no topology
+  std::uint32_t link_cap = 0;  ///< per directed zone link; 0 = uncapped
+  double upload = 1.5;
+  std::uint32_t replicas = 4;
+  double demand_prob = 0.3;
+};
+
+LedgerRun dense_run() { return {}; }
+
+LedgerRun sparse_churn_run() {
+  LedgerRun run;
+  run.sparse = true;
+  run.fail_prob = 0.03;
+  return run;
+}
+
+LedgerRun zone_link_cap_run() {
+  LedgerRun run;
+  run.zones = 12;
+  run.link_cap = 1;
+  return run;
+}
+
+LedgerRun strict_stall_run() {
+  LedgerRun run;
+  run.strict = true;
+  run.upload = 1.0;
+  run.replicas = 2;
+  run.demand_prob = 0.9;
+  return run;
+}
+
+/// Drives 40 rounds of Zipf demand (plus seeded churn) and calls
+/// after_step(sim) after every step; returns the final report.
+template <typename AfterStep>
+s::RunReport drive(const LedgerRun& run, AfterStep after_step) {
+  constexpr std::uint32_t kBoxes = 48;
+  constexpr std::uint32_t kVideos = 16;
+  const m::Catalog catalog(kVideos, 4, 8);
+  const auto profile = m::CapacityProfile::homogeneous(kBoxes, run.upload, 8.0);
+  p2pvod::util::Rng alloc_rng(7);
+  const a::Allocation allocation = a::PermutationAllocator().allocate(
+      catalog, profile, run.replicas, alloc_rng);
+  std::optional<p2pvod::net::Topology> topology;
+  s::SimulatorOptions options;
+  options.sparse = run.sparse;
+  options.strict = run.strict;
+  options.verify_incremental = run.verify;
+  if (run.zones > 0) {
+    topology = p2pvod::net::Topology::uniform(kBoxes, run.zones);
+    if (run.link_cap > 0) topology->set_uniform_link_cap(run.link_cap);
+    options.topology = &*topology;
+  }
+  s::PreloadingStrategy strategy;
+  s::Simulator sim(catalog, profile, allocation, strategy, options);
+  w::ZipfDemand audience(kVideos, 0.8, run.demand_prob, 11);
+  p2pvod::util::Rng churn_rng(13);
+  for (m::Round t = 0; t < 40; ++t) {
+    for (m::BoxId b = 0; run.fail_prob > 0 && b < kBoxes; ++b) {
+      if (churn_rng.next_bool(run.fail_prob))
+        sim.set_box_online(b, !sim.box_online(b));
+    }
+    sim.step(audience.demands(sim));
+    after_step(sim);
+    if (sim.stalled() && run.strict) break;
+  }
+  return sim.report();
+}
+
+using R = s::RunReport;
+
+template <auto Field>
+std::uint64_t field(const R& report) {
+  return static_cast<std::uint64_t>(report.*Field);
+}
+
+/// Which RunReport field each sim/* counter mirrors (sparse_only entries are
+/// fed by the sparse engine alone).
+struct LedgerEntry {
+  const char* counter;
+  std::uint64_t (*field)(const R&);
+  bool sparse_only;
+};
+
+const std::vector<LedgerEntry>& ledger() {
+  static const std::vector<LedgerEntry> entries = {
+      {"sim/rounds", field<&R::rounds>, false},
+      {"sim/demands_admitted", field<&R::demands_admitted>, false},
+      {"sim/demands_rejected", field<&R::demands_rejected>, false},
+      {"sim/chunks_matched", field<&R::chunks_served>, false},
+      {"sim/chunks_unmatched", field<&R::chunks_stalled>, false},
+      {"sim/matcher_edges", field<&R::matcher_edges>, false},
+      {"sim/intra_zone_chunks", field<&R::intra_zone_chunks>, false},
+      {"sim/cross_zone_chunks", field<&R::cross_zone_chunks>, false},
+      {"sim/link_cap_rejections", field<&R::link_cap_rejections>, false},
+      {"sim/link_cap_rescues", field<&R::link_cap_rescues>, false},
+      {"sim/sparse_rows_built", field<&R::rows_built>, true},
+      {"sim/sparse_row_patches", field<&R::row_patches>, true},
+      {"sim/sparse_full_rebuilds", field<&R::sparse_full_rebuilds>, true},
+      {"sim/sparse_expiry_events", field<&R::sparse_expiry_events>, true},
+      {"sim/sparse_kept_connections", field<&R::kept_connections>, true},
+      {"sim/sparse_new_connections", field<&R::new_connections>, true},
+  };
+  return entries;
+}
+
+std::uint64_t counter_value(const p2pvod::obs::MetricsSnapshot& snapshot,
+                            const std::string& name) {
+  const auto it = snapshot.values.find(name);
+  return it == snapshot.values.end() ? 0 : it->second.count;
+}
+
+/// After every step, every sim/* counter moved by exactly the step's delta
+/// of the RunReport field it mirrors (sparse_* by zero on dense runs), and
+/// the active-request histogram took one observation of the round's |Y|.
+s::RunReport check_ledger(const LedgerRun& run) {
+  auto& registry = p2pvod::obs::MetricsRegistry::global();
+  auto before = registry.snapshot();
+  s::RunReport last;
+  return drive(run, [&](const s::Simulator& sim) {
+    const auto after = registry.snapshot();
+    const s::RunReport& now = sim.report();
+    for (const LedgerEntry& entry : ledger()) {
+      const std::uint64_t moved = counter_value(after, entry.counter) -
+                                  counter_value(before, entry.counter);
+      std::uint64_t expected = entry.field(now) - entry.field(last);
+      if (entry.sparse_only && !run.sparse) expected = 0;
+      EXPECT_EQ(moved, expected)
+          << entry.counter << " at round " << now.rounds - 1;
+    }
+    const auto& hist_after = after.values.at("sim/round_active_requests");
+    const auto hist_before = before.values.find("sim/round_active_requests");
+    const std::uint64_t count_before =
+        hist_before == before.values.end() ? 0 : hist_before->second.count;
+    const std::uint64_t sum_before =
+        hist_before == before.values.end() ? 0 : hist_before->second.sum;
+    EXPECT_EQ(hist_after.count - count_before, 1u);
+    EXPECT_EQ(static_cast<double>(hist_after.sum - sum_before),
+              now.active_requests.sum() - last.active_requests.sum());
+    before = after;
+    last = now;
+  });
+}
+
+/// With verify_incremental, step() itself runs check_invariants() (and
+/// keeps the first stall's problem for the Hall check); the explicit call
+/// after each step re-checks from outside the round loop.
+s::RunReport check_invariants_every_step(LedgerRun run) {
+  run.verify = true;
+  return drive(run, [](const s::Simulator& sim) {
+    EXPECT_NO_THROW(sim.check_invariants()) << "round " << sim.now();
+  });
+}
+
+}  // namespace
+
+TEST(SimLedger, DenseCountersMirrorReport) {
+  const auto report = check_ledger(dense_run());
+  EXPECT_GT(report.chunks_served, 0u);
+}
+
+TEST(SimLedger, SparseChurnCountersMirrorReport) {
+  const auto report = check_ledger(sparse_churn_run());
+  EXPECT_GT(report.box_failures, 0u);
+  EXPECT_GT(report.rows_built, 0u);
+}
+
+TEST(SimLedger, ZoneLinkCapCountersMirrorReport) {
+  const auto report = check_ledger(zone_link_cap_run());
+  EXPECT_GT(report.cross_zone_chunks, 0u);
+  EXPECT_GT(report.link_cap_rejections, 0u);
+}
+
+TEST(SimLedger, StrictStallCountersMirrorReport) {
+  const auto report = check_ledger(strict_stall_run());
+  EXPECT_FALSE(report.success);
+  EXPECT_GT(report.chunks_stalled, 0u);
+}
+
+TEST(SimInvariants, HoldEveryRoundDense) {
+  EXPECT_TRUE(check_invariants_every_step(dense_run()).success);
+}
+
+TEST(SimInvariants, HoldEveryRoundSparseChurn) {
+  const auto report = check_invariants_every_step(sparse_churn_run());
+  EXPECT_GT(report.sessions_aborted, 0u);
+}
+
+TEST(SimInvariants, HoldEveryRoundZoneLinkCaps) {
+  const auto report = check_invariants_every_step(zone_link_cap_run());
+  EXPECT_GT(report.link_cap_rejections, 0u);
+}
+
+TEST(SimInvariants, HoldThroughStrictStall) {
+  const auto report = check_invariants_every_step(strict_stall_run());
+  EXPECT_GE(report.first_stall, 0);
+  EXPECT_GT(report.stall_witness_size, 0u);
 }

@@ -2,12 +2,10 @@
 // CsrMatcher incremental repair, validate_assignment (the strengthened
 // verify_incremental check), the ±delta capacity bookkeeping under churn, and
 // dense-vs-sparse lockstep equivalence across churn / strict / override /
-// engine configurations.
+// rebuild-fallback configurations.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,34 +28,6 @@ namespace m = p2pvod::model;
 namespace a = p2pvod::alloc;
 namespace f = p2pvod::flow;
 namespace w = p2pvod::workload;
-
-namespace {
-
-class ScopedEnv {
- public:
-  ScopedEnv(std::string name, const std::string& value)
-      : name_(std::move(name)) {
-    if (const char* old = std::getenv(name_.c_str()); old != nullptr) {
-      old_ = old;
-    }
-    setenv(name_.c_str(), value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (old_.has_value()) {
-      setenv(name_.c_str(), old_->c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> old_;
-};
-
-}  // namespace
 
 // ------------------------------------------------------------- CsrProblem
 
@@ -634,13 +604,6 @@ TEST(SparseTwins, CapacityOverride) {
   run_twins(cfg);
 }
 
-TEST(SparseTwins, HopcroftKarpReference) {
-  TwinConfig cfg;
-  cfg.options.engine = p2pvod::flow::Engine::kHopcroftKarp;
-  cfg.rounds = 25;
-  run_twins(cfg);
-}
-
 TEST(SparseTwins, EagerRebuildFallback) {
   // rebuild_fraction 0 forces the dirty-fraction fallback almost every round;
   // correctness must not depend on the patch path being taken.
@@ -669,19 +632,7 @@ TEST(SparseTwins, RandomizedChurnProperty) {
   }
 }
 
-// ------------------------------------------------------------- env plumbing
-
-TEST(SparseEnv, EnvKnobForcesSparsePath) {
-  const ScopedEnv env("P2PVOD_SPARSE", "1");
-  const m::Catalog catalog(1, 4, 12);
-  const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
-  std::vector<a::Allocation::Placement> placements;
-  for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({3, i});
-  const a::Allocation allocation(4, 4, std::move(placements));
-  s::PreloadingStrategy strategy;
-  s::Simulator sim(catalog, profile, allocation, strategy, {});
-  EXPECT_TRUE(sim.sparse_active());
-}
+// ------------------------------------------------------------ config errors
 
 TEST(SparseEnv, ExplicitSparseWithTopologyIsConfigError) {
   // The sparse engine is cost-blind; asking for it together with a topology
@@ -698,21 +649,4 @@ TEST(SparseEnv, ExplicitSparseWithTopologyIsConfigError) {
   options.topology = &topology;
   EXPECT_THROW(s::Simulator(catalog, profile, allocation, strategy, options),
                std::invalid_argument);
-}
-
-TEST(SparseEnv, EnvSparseWithTopologyDowngradesToDense) {
-  // The env knob re-runs whole suites; zone-aware runs must not crash under
-  // it. They stay dense and count the downgrade instead.
-  const ScopedEnv env("P2PVOD_SPARSE", "1");
-  const m::Catalog catalog(1, 4, 12);
-  const auto profile = m::CapacityProfile::homogeneous(4, 2.0, 100.0);
-  std::vector<a::Allocation::Placement> placements;
-  for (std::uint32_t i = 0; i < 4; ++i) placements.push_back({3, i});
-  const a::Allocation allocation(4, 4, std::move(placements));
-  const auto topology = p2pvod::net::Topology::uniform(4, 2);
-  s::PreloadingStrategy strategy;
-  s::SimulatorOptions options;
-  options.topology = &topology;
-  s::Simulator sim(catalog, profile, allocation, strategy, options);
-  EXPECT_FALSE(sim.sparse_active());
 }

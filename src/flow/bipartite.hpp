@@ -15,7 +15,7 @@
 
 namespace p2pvod::flow {
 
-/// Solver backend selection (benchmarked against each other in E12).
+/// Solver backend selection (compared in bench_perf_flow).
 enum class Engine {
   kDinic,         ///< max-flow on the §2.3 network (handles any capacities)
   kHopcroftKarp,  ///< capacity-aware HK, specialized bipartite solver

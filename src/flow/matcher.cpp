@@ -12,7 +12,6 @@ bool IncrementalMatcher::augment(
     std::vector<std::int32_t>& assignment, std::vector<std::uint32_t>& degree,
     std::vector<std::vector<std::uint32_t>>& served_by,
     std::vector<bool>& visited_box) {
-  ++stats_.augment_calls;
   for (const std::uint32_t b : problem.candidates(request)) {
     if (visited_box[b]) continue;
     visited_box[b] = true;
@@ -39,7 +38,6 @@ MatchResult IncrementalMatcher::solve(const ConnectionProblem& problem,
                                       const std::vector<std::int32_t>& carry) {
   if (problem.box_count() != box_count_)
     throw std::invalid_argument("IncrementalMatcher: box count changed");
-  ++stats_.rounds;
 
   const std::uint32_t requests = problem.request_count();
   std::vector<std::int32_t> assignment(requests, -1);

@@ -4,8 +4,8 @@
 // new ones (one round is "the time necessary for a box to establish a
 // connection", §1.1). IncrementalMatcher exploits that: requests that keep a
 // still-valid server stay put; only new/broken requests are (re)matched via
-// augmenting paths. This is an optimization ablated in bench E12 — results
-// are always verified identical in service count to a from-scratch solve.
+// augmenting paths. Results are always verified identical in service count
+// to a from-scratch solve (SimulatorOptions::verify_incremental).
 #pragma once
 
 #include <cstdint>
@@ -17,10 +17,8 @@
 namespace p2pvod::flow {
 
 struct IncrementalStats {
-  std::uint64_t rounds = 0;
   std::uint64_t kept_connections = 0;
   std::uint64_t new_connections = 0;
-  std::uint64_t augment_calls = 0;
 };
 
 class IncrementalMatcher {

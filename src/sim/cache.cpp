@@ -1,6 +1,7 @@
 #include "sim/cache.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace p2pvod::sim {
@@ -14,8 +15,9 @@ void CacheIndex::grant(model::StripeId stripe, model::BoxId box,
                        model::Round entry) {
   if (stripe >= per_stripe_.size())
     throw std::out_of_range("CacheIndex::grant");
-  per_stripe_[stripe].push_back({box, entry});
+  per_stripe_[stripe].push_back({stripe, box, entry});
   ++entries_;
+  calendar_.emplace(entry + window_ + 1, stripe);
 }
 
 std::size_t CacheIndex::collect_servers(model::StripeId stripe,
@@ -39,29 +41,39 @@ std::uint64_t CacheIndex::remove_box(model::BoxId box,
                                      std::vector<model::StripeId>* affected) {
   std::uint64_t removed = 0;
   for (model::StripeId stripe = 0; stripe < per_stripe_.size(); ++stripe) {
-    auto& entries = per_stripe_[stripe];
-    const auto keep =
-        std::remove_if(entries.begin(), entries.end(),
-                       [box](const Entry& e) { return e.box == box; });
-    const auto dropped = static_cast<std::uint64_t>(entries.end() - keep);
+    const auto dropped = std::erase_if(
+        per_stripe_[stripe], [box](const Entry& e) { return e.box == box; });
     if (dropped > 0 && affected != nullptr) affected->push_back(stripe);
     removed += dropped;
-    entries.erase(keep, entries.end());
   }
   entries_ -= removed;
   return removed;
 }
 
-void CacheIndex::prune(model::Round now) {
-  const model::Round oldest = now - window_;
-  for (auto& entries : per_stripe_) {
-    if (entries.empty()) continue;
-    const auto keep = std::remove_if(
-        entries.begin(), entries.end(),
-        [oldest](const Entry& e) { return e.entry < oldest; });
-    entries_ -= static_cast<std::uint64_t>(entries.end() - keep);
-    entries.erase(keep, entries.end());
+void CacheIndex::prune(model::Round now, std::vector<Entry>* expired) {
+  pruned_below_ = now - window_;
+  const auto gone = [this](const Entry& e) { return e.entry < pruned_below_; };
+  while (!calendar_.empty() && calendar_.top().first <= now) {
+    auto& entries = per_stripe_[calendar_.top().second];
+    calendar_.pop();
+    if (expired != nullptr)
+      std::copy_if(entries.begin(), entries.end(),
+                   std::back_inserter(*expired), gone);
+    entries_ -= std::erase_if(entries, gone);
   }
+}
+
+void CacheIndex::check_invariants() const {
+  std::uint64_t held = 0;
+  for (const auto& entries : per_stripe_) {
+    held += entries.size();
+    for (const Entry& e : entries) {
+      if (e.entry < pruned_below_)
+        throw std::logic_error("CacheIndex: an expired entry survived prune");
+    }
+  }
+  if (held != entries_)
+    throw std::logic_error("CacheIndex: entry_count != per-stripe sum");
 }
 
 }  // namespace p2pvod::sim

@@ -9,22 +9,35 @@
 //
 // The index stores, per stripe, the cache grants (box, entry round) and
 // answers "who can serve request (s, t_i) at round t" — excluding the
-// requester itself. Entries older than the window are pruned lazily.
+// requester itself. It is the simulator's only record of cache expiry:
+// prune() visits only the stripes whose entries left the window, from a
+// round-keyed calendar, and reports every entry it drops.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "model/ids.hpp"
-#include "sim/request.hpp"
 
 namespace p2pvod::sim {
 
 class CacheIndex {
  public:
+  /// One cache entry: `box` holds `stripe` as if it started at `entry`.
+  struct Entry {
+    model::StripeId stripe;
+    model::BoxId box;
+    model::Round entry;
+  };
+
   CacheIndex(std::uint32_t stripe_count, model::Round window);
 
-  /// Record that `box` holds the stream of `stripe` as if started at `entry`.
+  /// Record that `box` holds the stream of `stripe` as if started at `entry`,
+  /// and book the stripe for pruning at entry + window + 1.
   void grant(model::StripeId stripe, model::BoxId box, model::Round entry);
 
   /// Append to `out` every box that, per the §2.2 rule, possesses the chunk a
@@ -34,8 +47,11 @@ class CacheIndex {
                               model::Round now, model::BoxId exclude,
                               std::vector<model::BoxId>& out) const;
 
-  /// Drop entries that left the retention window (entry < now - window).
-  void prune(model::Round now);
+  /// Drop every entry that left the retention window (entry < now - window)
+  /// by visiting only the stripes booked for a round <= now. When `expired`
+  /// is non-null, each dropped entry is appended to it, exactly once. An
+  /// entry that died in remove_box is never reported.
+  void prune(model::Round now, std::vector<Entry>* expired = nullptr);
 
   /// Drop every entry of `box` (the box failed: its cache is gone). Returns
   /// the number of entries removed. When `affected` is non-null, the id of
@@ -45,16 +61,21 @@ class CacheIndex {
                            std::vector<model::StripeId>* affected = nullptr);
 
   [[nodiscard]] std::uint64_t entry_count() const noexcept { return entries_; }
-  [[nodiscard]] model::Round window() const noexcept { return window_; }
+
+  /// Throw std::logic_error unless entry_count() equals the per-stripe sum
+  /// and, as of the last prune(now), no entry is older than now - window.
+  void check_invariants() const;
 
  private:
-  struct Entry {
-    model::BoxId box;
-    model::Round entry;
-  };
+  using Due = std::pair<model::Round, model::StripeId>;
 
   std::vector<std::vector<Entry>> per_stripe_;
+  /// (round an entry leaves the window, its stripe), earliest first. A
+  /// stripe may repeat; a revisit finds nothing left to drop.
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> calendar_;
   model::Round window_;
+  /// `now - window` of the last prune: no held entry is older.
+  model::Round pruned_below_ = std::numeric_limits<model::Round>::min();
   std::uint64_t entries_ = 0;
 };
 

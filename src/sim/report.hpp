@@ -45,7 +45,7 @@ struct RunReport {
   std::uint64_t rows_built = 0;
   std::uint64_t row_patches = 0;          ///< surgical CSR row edits (sparse)
   std::uint64_t sparse_full_rebuilds = 0; ///< dirty-fraction fallback trips
-  /// Cache-expiry calendar events applied by the sparse engine.
+  /// Expired cache entries (CacheIndex::prune) applied by the sparse engine.
   std::uint64_t sparse_expiry_events = 0;
 
   // --- topology (zone-aware matching extension; all zero without one) ---

@@ -49,24 +49,6 @@ struct PlannedRequest {
   }
 };
 
-struct ActiveRequest {
-  model::StripeId stripe = model::kInvalidStripe;
-  model::Round issue = 0;
-  model::BoxId requester = model::kInvalidBox;
-  SessionId session = kInvalidSession;
-
-  /// Position needed at round `now` (0-based chunk index).
-  [[nodiscard]] model::Round position(model::Round now) const noexcept {
-    return now - issue;
-  }
-  /// Active while 0 <= position < duration.
-  [[nodiscard]] bool active_at(model::Round now,
-                               model::Round duration) const noexcept {
-    const model::Round p = position(now);
-    return p >= 0 && p < duration;
-  }
-};
-
 /// Sparse-path slot id of a live request; kNoSparseSlot when the simulator
 /// runs the dense engine (no SparseRoundState attached).
 inline constexpr std::uint32_t kNoSparseSlot = static_cast<std::uint32_t>(-1);
@@ -74,8 +56,8 @@ inline constexpr std::uint32_t kNoSparseSlot = static_cast<std::uint32_t>(-1);
 /// Struct-of-arrays storage for the live request set. The round loop scans
 /// these fields linearly every round (candidate building, retirement, zone
 /// accounting), so parallel arrays keep each scan on the one field it needs
-/// instead of striding over whole ActiveRequest records — the difference is
-/// real cache traffic at the million-box scale the sparse engine targets.
+/// instead of striding over whole request records — the difference is real
+/// cache traffic at the million-box scale the sparse engine targets.
 struct LiveRequestSoA {
   std::vector<model::StripeId> stripe;
   std::vector<model::Round> issue;

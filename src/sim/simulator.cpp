@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -135,9 +136,8 @@ Simulator::Simulator(const model::Catalog& catalog,
         "Simulator: sparse engine cannot honor a topology (cost-aware "
         "matching is dense-only)");
   if (options_.sparse) {
-    sparse_ = std::make_unique<SparseRoundState>(
-        profile_.size(), catalog_.stripe_count(), catalog_.duration(),
-        options_.sparse_rebuild_fraction);
+    sparse_ = std::make_unique<SparseRoundState>(profile_.size(),
+                                                 catalog_.stripe_count());
   }
 }
 
@@ -162,40 +162,50 @@ void Simulator::admit(const Demand& demand) {
     ++report_.demands_rejected;
     return;
   }
-  ++report_.demands_admitted;
   const std::uint64_t ticket = swarms_.enter(demand.video, now_);
 
+  // Validate every plan before the demand leaves any other trace: a
+  // malformed plan throws, and a plan whose requester is offline (e.g. a
+  // custom strategy routed through a dead relay) rejects the demand; both
+  // roll back the enter() above. Plans with no requester are
+  // forwarding-from-storage (the §4 relay holds the stripe statically): they
+  // register cache grants but no network request. Playback can start once
+  // every stripe has delivered its first chunk to the viewer; with no
+  // network requests the box plays from local storage.
   scratch_plans_.clear();
-  strategy_.plan(demand.box, demand.video, ticket, now_, *this,
-                 scratch_plans_);
-
-  // Playback can start once every stripe has delivered its first chunk to
-  // the viewer; with no network requests the box plays from local storage.
+  std::uint32_t network_requests = 0;
   model::Round viewer_last_entry = now_;
-  for (const PlannedRequest& plan : scratch_plans_) {
-    for (const CacheGrant& grant : plan.grants) {
-      if (grant.box == demand.box)
-        viewer_last_entry = std::max(viewer_last_entry, grant.entry);
+  bool servable = true;
+  try {
+    strategy_.plan(demand.box, demand.video, ticket, now_, *this,
+                   scratch_plans_);
+    for (const PlannedRequest& plan : scratch_plans_) {
+      if (plan.issue < now_)
+        throw std::logic_error("Simulator: plan issued in the past");
+      if (!catalog_.contains(plan.stripe))
+        throw std::out_of_range("Simulator: plan for unknown stripe");
+      for (const CacheGrant& grant : plan.grants) {
+        if (grant.box >= profile_.size())
+          throw std::out_of_range("Simulator: cache grant to unknown box");
+        if (grant.box == demand.box)
+          viewer_last_entry = std::max(viewer_last_entry, grant.entry);
+      }
+      if (plan.requester == model::kInvalidBox) continue;
+      servable = online_.at(plan.requester) && servable;
+      ++network_requests;
     }
+  } catch (...) {
+    swarms_.cancel_enter(demand.video);
+    throw;
   }
+  if (!servable) {
+    swarms_.cancel_enter(demand.video);
+    ++report_.demands_rejected;
+    return;
+  }
+  ++report_.demands_admitted;
   const model::Round playback_start = viewer_last_entry + 1;
   const model::Round ends = playback_start + catalog_.duration();
-
-  // Plans with no requester are forwarding-from-storage (the §4 relay holds
-  // the stripe statically): they register cache grants but no network request.
-  // A plan whose requester is offline cannot be served at all (e.g. a custom
-  // strategy routed through a dead relay): reject the demand outright.
-  std::uint32_t network_requests = 0;
-  for (const PlannedRequest& plan : scratch_plans_) {
-    if (plan.requester == model::kInvalidBox) continue;
-    if (!online_.at(plan.requester)) {
-      swarms_.cancel_enter(demand.video);  // roll back the enter() above
-      --report_.demands_admitted;
-      ++report_.demands_rejected;
-      return;
-    }
-    ++network_requests;
-  }
 
   const auto session_id = static_cast<SessionId>(sessions_.size());
   sessions_.push_back({demand.box, demand.video, now_, playback_start, ends,
@@ -208,14 +218,10 @@ void Simulator::admit(const Demand& demand) {
   report_.startup_delay.add(playback_start - (now_ - 1));
 
   for (const PlannedRequest& plan : scratch_plans_) {
-    if (plan.issue < now_)
-      throw std::logic_error("Simulator: plan issued in the past");
-    if (!catalog_.contains(plan.stripe))
-      throw std::out_of_range("Simulator: plan for unknown stripe");
     for (const CacheGrant& grant : plan.grants) {
       cache_.grant(plan.stripe, grant.box, grant.entry);
       if (sparse_ != nullptr)
-        sparse_->on_grant(plan.stripe, grant.box, grant.entry, now_);
+        sparse_->on_grant(plan.stripe, grant.box, grant.entry);
     }
     if (plan.requester == model::kInvalidBox) continue;
     ++report_.requests_issued;
@@ -265,18 +271,23 @@ void Simulator::solve_round() {
   }
 }
 
+void Simulator::collect_candidates(model::StripeId stripe,
+                                   model::Round issue, model::BoxId requester,
+                                   std::vector<model::BoxId>& out) const {
+  for (const model::BoxId holder : allocation_.holders(stripe)) {
+    if (holder != requester && online_[holder]) out.push_back(holder);
+  }
+  cache_.collect_servers(stripe, issue, now_, requester, out);
+}
+
 flow::ConnectionProblem Simulator::build_connection_problem() {
   flow::ConnectionProblem problem(profile_.size());
   problem.set_capacities(capacity_slots_);
   OBS_SPAN("sim/build_candidates");
   for (std::size_t i = 0; i < live_.size(); ++i) {
     scratch_candidates_.clear();
-    for (const model::BoxId holder : allocation_.holders(live_.stripe[i])) {
-      if (holder != live_.requester[i] && online_[holder])
-        scratch_candidates_.push_back(holder);
-    }
-    cache_.collect_servers(live_.stripe[i], live_.issue[i], now_,
-                           live_.requester[i], scratch_candidates_);
+    collect_candidates(live_.stripe[i], live_.issue[i], live_.requester[i],
+                       scratch_candidates_);
     std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
     scratch_candidates_.erase(
         std::unique(scratch_candidates_.begin(), scratch_candidates_.end()),
@@ -328,18 +339,11 @@ std::uint32_t Simulator::solve_round_dense() {
 }
 
 std::uint32_t Simulator::solve_round_sparse() {
-  const auto collect = [this](model::StripeId stripe, model::Round issue,
-                              model::BoxId requester,
-                              std::vector<model::BoxId>& out) {
-    for (const model::BoxId holder : allocation_.holders(stripe)) {
-      if (holder != requester && online_[holder]) out.push_back(holder);
-    }
-    cache_.collect_servers(stripe, issue, now_, requester, out);
-  };
   std::uint32_t served = 0;
   {
     OBS_SPAN("sim/match");
-    served = sparse_->solve(now_, capacity_slots_, collect);
+    served = sparse_->solve(
+        capacity_slots_, std::bind_front(&Simulator::collect_candidates, this));
   }
   report_.matcher_edges += sparse_->edge_count();
   for (std::size_t i = 0; i < live_.size(); ++i)
@@ -564,9 +568,15 @@ void Simulator::step(const std::vector<Demand>& demands) {
   swarms_.begin_round(now_);
   for (const Demand& demand : demands) admit(demand);
 
-  // 5. Activate requests issued this round; drop expired cache entries.
+  // 5. Activate requests issued this round; drop expired cache entries
+  //    (the sparse engine retires their sources from its rows).
   activate_pending();
-  cache_.prune(now_);
+  {
+    OBS_SPAN("sim/cache_prune");
+    scratch_expired_.clear();
+    cache_.prune(now_, sparse_ != nullptr ? &scratch_expired_ : nullptr);
+    if (sparse_ != nullptr) sparse_->on_expire(scratch_expired_);
+  }
 
   // 6. Connection matching for this round.
   const std::uint64_t active = live_.size();
@@ -642,6 +652,12 @@ void Simulator::check_invariants() const {
         sessions_[id].pending_requests != requests[id])
       fail("session pending_requests != live + not-yet-activated requests");
   }
+
+  if (static_cast<double>(report_.chunks_served + report_.chunks_stalled) !=
+      report_.active_requests.sum())
+    fail("chunks served + stalled != sum of per-round active requests");
+
+  cache_.check_invariants();
 
   if (stall_record_.has_value() &&
       !flow::HallChecker::check_subset(stall_record_->problem,

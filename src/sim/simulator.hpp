@@ -79,10 +79,6 @@ struct SimulatorOptions {
   /// cost-aware matching is dense-only, and asking for both throws
   /// std::invalid_argument.
   bool sparse = false;
-  /// Dirty-row fraction above which the sparse path rebuilds every row from
-  /// ground truth instead of patching (patch bookkeeping stops paying once
-  /// most rows changed anyway).
-  double sparse_rebuild_fraction = 0.5;
 };
 
 class Simulator {
@@ -151,6 +147,8 @@ class Simulator {
   ///   - each swarm's size == its sessions neither aborted nor ended
   ///   - each live session's pending request count == its live plus
   ///     not-yet-activated requests
+  ///   - cumulative chunks served + stalled == Σ per-round active requests
+  ///   - the cache index's own check (CacheIndex::check_invariants)
   ///   - the first stall's recorded witness violates Hall's condition
   /// step() runs it after every round under verify_incremental and in
   /// builds without NDEBUG.
@@ -181,6 +179,12 @@ class Simulator {
   std::uint32_t solve_round_dense();
   /// Sparse engine: patch-and-repair round on the persistent CSR state.
   std::uint32_t solve_round_sparse();
+  /// Ground-truth candidates of one request at this round (duplicates
+  /// allowed): online static holders other than the requester, then every
+  /// cache entry that serves it (CacheIndex::collect_servers).
+  void collect_candidates(model::StripeId stripe, model::Round issue,
+                          model::BoxId requester,
+                          std::vector<model::BoxId>& out) const;
   /// The round's dense ConnectionProblem, collected from ground truth (also
   /// the reference the sparse verify path validates against).
   [[nodiscard]] flow::ConnectionProblem build_connection_problem();
@@ -247,6 +251,7 @@ class Simulator {
   std::vector<model::BoxId> scratch_candidates_;
   std::vector<PlannedRequest> scratch_plans_;
   std::vector<model::StripeId> scratch_cache_stripes_;
+  std::vector<CacheIndex::Entry> scratch_expired_;
 };
 
 }  // namespace p2pvod::sim

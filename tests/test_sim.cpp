@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,66 @@ TEST(Cache, PruneDropsExpiredEntries) {
   EXPECT_EQ(cache.entry_count(), 2u);
   cache.prune(10);  // oldest kept entry: 6
   EXPECT_EQ(cache.entry_count(), 1u);
+}
+
+TEST(CacheIndex, PruneReportsEachEntryOnceAtItsExpiryRound) {
+  constexpr m::Round kWindow = 3;
+  s::CacheIndex cache(2, kWindow);
+  cache.grant(0, /*box=*/1, /*entry=*/0);
+  cache.grant(1, /*box=*/2, /*entry=*/0);
+  cache.grant(0, /*box=*/3, /*entry=*/2);
+  cache.grant(0, /*box=*/4, /*entry=*/0);
+  std::vector<s::CacheIndex::Entry> expired;
+  for (m::Round now = 0; now < 10; ++now) {
+    const std::size_t before = expired.size();
+    cache.prune(now, &expired);
+    for (std::size_t i = before; i < expired.size(); ++i)
+      EXPECT_EQ(expired[i].entry + kWindow + 1, now) << "entry " << i;
+    EXPECT_NO_THROW(cache.check_invariants());
+  }
+  ASSERT_EQ(expired.size(), 4u);
+  // Stripe by stripe in booking order, entries in grant order.
+  EXPECT_EQ(expired[0].stripe, 0u);
+  EXPECT_EQ(expired[0].box, 1u);
+  EXPECT_EQ(expired[1].box, 4u);
+  EXPECT_EQ(expired[2].stripe, 1u);
+  EXPECT_EQ(expired[2].box, 2u);
+  EXPECT_EQ(expired[3].box, 3u);
+  EXPECT_EQ(expired[3].entry, 2);
+  EXPECT_EQ(cache.entry_count(), 0u);
+
+  // A grant already outside the window is dropped (and reported) by the
+  // next prune.
+  cache.grant(1, 5, /*entry=*/2);
+  expired.clear();
+  cache.prune(10, &expired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].box, 5u);
+  EXPECT_EQ(cache.entry_count(), 0u);
+}
+
+TEST(CacheIndex, EntryDeadWithItsBoxIsNeverReported) {
+  // Box 1's entry at round 3 (leaving at 7) dies with the box; the box
+  // returns and earns a new entry on the same stripe at round 4 (leaving at
+  // 8). Nothing is reported at 7, the new entry is reported at 8.
+  s::CacheIndex cache(1, /*window=*/3);
+  cache.grant(0, 1, 3);
+  std::vector<s::CacheIndex::Entry> expired;
+  cache.prune(5, &expired);
+  std::vector<m::StripeId> affected;
+  EXPECT_EQ(cache.remove_box(1, &affected), 1u);
+  EXPECT_EQ(affected, std::vector<m::StripeId>{0});
+  cache.grant(0, 1, 4);
+  cache.prune(6, &expired);
+  cache.prune(7, &expired);
+  EXPECT_TRUE(expired.empty());
+  EXPECT_EQ(cache.entry_count(), 1u);
+  cache.prune(8, &expired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].box, 1u);
+  EXPECT_EQ(expired[0].entry, 4);
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_NO_THROW(cache.check_invariants());
 }
 
 // ----------------------------------------------------------------- fixtures
@@ -541,6 +602,74 @@ TEST(Simulator, RolledBackAdmissionLeavesNoSwarmTrace) {
   EXPECT_EQ(strategy.tickets.back(), 0u);
   EXPECT_EQ(sim.report().peak_swarm, 1u);
   EXPECT_NO_THROW(sim.check_invariants());
+}
+
+// Plans the demanded video's two stripes for the viewer itself; the second
+// plan is malformed as `fault` says, so admission must throw.
+class MalformedSecondPlan final : public s::RequestStrategy {
+ public:
+  enum class Fault { kNone, kPastIssue, kUnknownStripe, kUnknownGrantBox };
+
+  void plan(m::BoxId b, m::VideoId v, std::uint64_t /*ticket*/, m::Round now,
+            s::Simulator& sim, std::vector<s::PlannedRequest>& out) override {
+    out.push_back(
+        s::PlannedRequest::direct(b, sim.catalog().stripe_id(v, 0), now + 1));
+    s::PlannedRequest second =
+        s::PlannedRequest::direct(b, sim.catalog().stripe_id(v, 1), now + 1);
+    switch (fault) {
+      case Fault::kNone:
+        break;
+      case Fault::kPastIssue:
+        second.issue = now - 1;
+        break;
+      case Fault::kUnknownStripe:
+        second.stripe = sim.catalog().stripe_count();
+        break;
+      case Fault::kUnknownGrantBox:
+        second.grants.push_back(
+            {static_cast<m::BoxId>(sim.profile().size()), now});
+        break;
+    }
+    out.push_back(second);
+  }
+  [[nodiscard]] std::string name() const override { return "malformed"; }
+
+  Fault fault = Fault::kNone;
+};
+
+TEST(Simulator, MalformedPlanLeavesNoHalfAdmittedSession) {
+  using Fault = MalformedSecondPlan::Fault;
+  for (const bool sparse : {false, true}) {
+    for (const Fault fault :
+         {Fault::kPastIssue, Fault::kUnknownStripe, Fault::kUnknownGrantBox}) {
+      SCOPED_TRACE(std::string(sparse ? "sparse" : "dense") + " fault " +
+                   std::to_string(static_cast<int>(fault)));
+      World world(4, 2, 6, 2.0, 1);
+      MalformedSecondPlan strategy;
+      strategy.fault = fault;
+      s::SimulatorOptions options;
+      options.sparse = sparse;
+      s::Simulator sim(world.catalog, world.profile, world.allocation,
+                       strategy, options);
+      EXPECT_THROW(sim.step({{0, 0}}), std::logic_error);
+      EXPECT_NO_THROW(sim.check_invariants());
+      EXPECT_TRUE(sim.box_idle(0));
+      EXPECT_EQ(sim.swarms().size(0), 0u);
+      EXPECT_EQ(sim.report().demands_admitted, 0u);
+
+      // The same demand, well-formed, is admitted and played to the end.
+      strategy.fault = Fault::kNone;
+      sim.step({{0, 0}});
+      EXPECT_EQ(sim.report().demands_admitted, 1u);
+      for (int round = 0; round < 10; ++round) {
+        sim.step({});
+        EXPECT_NO_THROW(sim.check_invariants());
+      }
+      EXPECT_TRUE(sim.report().success);
+      EXPECT_EQ(sim.report().sessions_completed, 1u);
+      EXPECT_EQ(sim.report().chunks_served, 2u * 6u);
+    }
+  }
 }
 
 // ------------------------------------------- run ledger and invariants

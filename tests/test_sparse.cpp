@@ -2,10 +2,11 @@
 // CsrMatcher incremental repair, validate_assignment (the strengthened
 // verify_incremental check), the ±delta capacity bookkeeping under churn, and
 // dense-vs-sparse lockstep equivalence across churn / strict / override /
-// rebuild-fallback configurations.
+// rebuild-fallback / stale-grant configurations.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -320,104 +321,70 @@ TEST(ValidateAssignment, RejectsBookkeepingMismatches) {
 
 // -------------------------------------------------------- SparseRoundState
 
-TEST(SparseRoundState, ExpiryRetiresCacheSources) {
-  // Window 3; box 2 is the static holder of stripe 0; box 1 gains a cache
-  // entry at round 0, which leaves the window at round 4.
-  s::SparseRoundState state(/*box_count=*/3, /*stripe_count=*/1, /*window=*/3,
-                            /*rebuild_fraction=*/0.5);
-  m::Round now = 0;
-  std::vector<std::pair<m::BoxId, m::Round>> cache;
+TEST(SparseRoundState, OnExpireRetiresCacheSources) {
+  // Box 2 holds stripe 0 statically but cannot upload; box 1's cache entry
+  // (entry 0) serves the request issued at 2 until CacheIndex reports it
+  // expired.
+  s::SparseRoundState state(/*box_count=*/3, /*stripe_count=*/1);
+  std::vector<s::CacheIndex::Entry> cache;
   const auto collect = [&](m::StripeId, m::Round issue, m::BoxId requester,
                            std::vector<m::BoxId>& out) {
     if (requester != 2) out.push_back(2);
-    for (const auto& [box, entry] : cache) {
-      if (entry >= now - 3 && entry < issue && box != requester)
-        out.push_back(box);
+    for (const auto& e : cache) {
+      if (e.entry < issue && e.box != requester) out.push_back(e.box);
     }
   };
-  const std::vector<std::uint32_t> cap = {4, 4, 4};
-  const auto slot = state.add_request(/*stripe=*/0, /*issue=*/1,
+  const std::vector<std::uint32_t> cap = {1, 1, 0};
+  const auto slot = state.add_request(/*stripe=*/0, /*issue=*/2,
                                       /*requester=*/0);
-  now = 1;
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 1u);  // static holder only
-  // Grant lands: box 1 becomes a second candidate via its cache entry.
-  cache.emplace_back(1, 0);
-  state.on_grant(/*stripe=*/0, /*box=*/1, /*entry=*/0, now);
-  now = 2;
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 2u);
-  // At round 4 the entry is outside the window: the calendar event must
-  // remove exactly that source, leaving the static holder.
-  now = 4;
+  EXPECT_EQ(state.solve(cap, collect), 0u);
+  // Two grants reach the clean row; only box 1's is a source of it (the
+  // requester's own entry never serves itself).
+  cache.push_back({/*stripe=*/0, /*box=*/1, /*entry=*/0});
+  cache.push_back({/*stripe=*/0, /*box=*/0, /*entry=*/1});
+  for (const auto& e : cache) state.on_grant(e.stripe, e.box, e.entry);
+  EXPECT_EQ(state.stats().row_patches, 1u);
+  EXPECT_EQ(state.solve(cap, collect), 1u);
+  EXPECT_EQ(state.assignment(slot), 1);
+  // A request arriving now is dirty: the expiry skips its row, whose rebuild
+  // reads ground truth (which no longer has the entries).
+  (void)state.add_request(0, /*issue=*/3, /*requester=*/0);
+  const std::vector<s::CacheIndex::Entry> expired = cache;
   cache.clear();
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 1u);
-  EXPECT_EQ(state.stats().expiry_events, 1u);
-  EXPECT_EQ(state.assignment(slot), 2);
-}
-
-TEST(SparseRoundState, ChurnEpochInvalidatesStaleExpiries) {
-  // A cache entry dies with its box; the box returns and earns a new entry
-  // that outlives the dead entry's expiry round. The stale calendar event
-  // must not eat the new source.
-  s::SparseRoundState state(3, 1, /*window=*/3, 0.5);
-  m::Round now = 5;
-  std::vector<std::pair<m::BoxId, m::Round>> cache;
-  const auto collect = [&](m::StripeId, m::Round issue, m::BoxId requester,
-                           std::vector<m::BoxId>& out) {
-    if (requester != 2) out.push_back(2);
-    for (const auto& [box, entry] : cache) {
-      if (entry >= now - 3 && entry < issue && box != requester)
-        out.push_back(box);
-    }
-  };
-  const std::vector<std::uint32_t> cap = {4, 4, 4};
-  (void)state.add_request(/*stripe=*/0, /*issue=*/6, /*requester=*/0);
-  cache.emplace_back(1, 3);  // expires at 3+3+1 = 7
-  state.on_grant(0, 1, /*entry=*/3, now);
-  EXPECT_EQ(state.solve(now /*=5*/, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 2u);
-  // Box 1 crashes (cache dies) and comes straight back; a fresh grant gives
-  // it a new entry whose own expiry is round 8.
-  cache.clear();
-  state.on_box_offline(1, /*stored=*/{}, /*cached=*/std::vector<m::StripeId>{0});
-  EXPECT_EQ(state.edge_count(), 1u);
-  state.on_box_online(1, /*stored=*/{});
-  cache.emplace_back(1, 4);
-  state.on_grant(0, 1, /*entry=*/4, now);
-  EXPECT_EQ(state.edge_count(), 2u);
-  // Round 7: the dead entry's event fires but is epoch-stale — box 1 stays.
-  now = 7;
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_TRUE(state.edge_count() == 2u);
-  // Round 8: the live entry expires for real.
-  now = 8;
-  cache.clear();
-  EXPECT_EQ(state.solve(now, cap, collect), 1u);
-  EXPECT_EQ(state.edge_count(), 1u);
+  state.on_expire(expired);
+  EXPECT_EQ(state.stats().expiry_events, 2u);
+  EXPECT_EQ(state.stats().row_patches, 2u);
+  EXPECT_EQ(state.assignment(slot), -1);  // its server left the row
+  EXPECT_EQ(state.solve(cap, collect), 0u);
+  EXPECT_EQ(state.edge_count(), 2u);  // the static holder, in both rows
 }
 
 TEST(SparseRoundState, DirtyFractionTriggersFullRebuild) {
-  s::SparseRoundState state(4, 2, /*window=*/3, /*rebuild_fraction=*/0.0);
+  s::SparseRoundState state(4, 2);
   const auto collect = [&](m::StripeId stripe, m::Round, m::BoxId,
                            std::vector<m::BoxId>& out) {
     out.push_back(stripe == 0 ? 2u : 3u);
   };
   const std::vector<std::uint32_t> cap = {1, 1, 1, 1};
   (void)state.add_request(0, 1, 0);
-  (void)state.add_request(0, 1, 1);
-  (void)state.add_request(1, 1, 0);
+  (void)state.add_request(1, 1, 1);
   // First solve: every row is new (dirty == live), not a fallback trip.
-  EXPECT_EQ(state.solve(1, cap, collect), 2u);  // caps bind: 2 of 3 served
+  EXPECT_EQ(state.solve(cap, collect), 2u);
+  EXPECT_EQ(state.stats().full_rebuilds, 0u);
+  EXPECT_EQ(state.stats().rows_built, 2u);
+  // One arrival dirties 1 of 3 rows: only that row is collected.
+  (void)state.add_request(0, 2, 1);
+  EXPECT_EQ(state.solve(cap, collect), 2u);  // caps bind
   EXPECT_EQ(state.stats().full_rebuilds, 0u);
   EXPECT_EQ(state.stats().rows_built, 3u);
-  // One new arrival dirties one row; fraction 0 forces a global rebuild.
-  (void)state.add_request(1, 2, 1);
-  EXPECT_EQ(state.solve(2, cap, collect), 2u);
+  // A burst of four arrivals dirties 4 of 7 rows, past kRebuildFraction:
+  // every live row is rebuilt.
+  for (m::BoxId requester = 0; requester < 4; ++requester)
+    (void)state.add_request(1, 3, requester);
+  EXPECT_EQ(state.solve(cap, collect), 2u);
   EXPECT_EQ(state.stats().full_rebuilds, 1u);
-  EXPECT_EQ(state.stats().rows_built, 7u);  // 3 + all 4 live rows
-  EXPECT_EQ(state.live_rows(), 4u);
+  EXPECT_EQ(state.stats().rows_built, 10u);  // 3 + all 7 live rows
+  EXPECT_EQ(state.live_rows(), 7u);
 }
 
 // ------------------------------------------- churn capacity ±delta (bugfix)
@@ -494,7 +461,31 @@ struct TwinConfig {
   std::uint64_t seed = 0x5EED0;
   double fail_prob = 0.0;     // per-box per-round crash probability
   m::Round outage = 5;        // rounds a crashed box stays down
+  m::Round burst_round = -1;  // round at which every box demands a video
+  bool stale_grants = false;  // use PreloadingWithStaleGrants
   s::SimulatorOptions options;  // sparse/verify flags set by the harness
+};
+
+/// The paper's preloading plan, plus one cache grant per request whose entry
+/// is already outside the retention window. The sparse engine patches it
+/// into its rows at admission, and the same round's prune must retire it
+/// before the solve: such an entry never serves.
+class PreloadingWithStaleGrants final : public s::RequestStrategy {
+ public:
+  void plan(m::BoxId b, m::VideoId v, std::uint64_t ticket, m::Round now,
+            s::Simulator& sim, std::vector<s::PlannedRequest>& out) override {
+    const std::size_t first = out.size();
+    preloading_.plan(b, v, ticket, now, sim, out);
+    const auto boxes = static_cast<m::BoxId>(sim.profile().size());
+    for (std::size_t i = first; i < out.size(); ++i) {
+      out[i].grants.push_back(
+          {(b + 1) % boxes, now - sim.catalog().duration() - 1});
+    }
+  }
+  [[nodiscard]] std::string name() const override { return "stale-grants"; }
+
+ private:
+  s::PreloadingStrategy preloading_;
 };
 
 /// Drive a dense and a sparse simulator in lockstep on one demand stream and
@@ -502,7 +493,8 @@ struct TwinConfig {
 /// (served, stalled, edges — the matchings are both maximum) every round.
 /// The sparse twin runs with verify_incremental, so every round's assignment
 /// is also structurally validated against the dense ground-truth problem.
-void run_twins(TwinConfig cfg) {
+/// The sparse twin's final report is copied to `sparse_report` when given.
+void run_twins(TwinConfig cfg, s::RunReport* sparse_report = nullptr) {
   const m::Catalog catalog(cfg.videos, cfg.chunks, cfg.duration);
   const auto profile =
       m::CapacityProfile::homogeneous(cfg.boxes, cfg.upload, 8.0);
@@ -515,11 +507,15 @@ void run_twins(TwinConfig cfg) {
   s::SimulatorOptions sparse_options = cfg.options;
   sparse_options.sparse = true;
   sparse_options.verify_incremental = true;
-  s::PreloadingStrategy dense_strategy;
-  s::PreloadingStrategy sparse_strategy;
-  s::Simulator dense(catalog, profile, allocation, dense_strategy,
+  const auto make_strategy = [&]() -> std::unique_ptr<s::RequestStrategy> {
+    if (cfg.stale_grants) return std::make_unique<PreloadingWithStaleGrants>();
+    return std::make_unique<s::PreloadingStrategy>();
+  };
+  const auto dense_strategy = make_strategy();
+  const auto sparse_strategy = make_strategy();
+  s::Simulator dense(catalog, profile, allocation, *dense_strategy,
                      dense_options);
-  s::Simulator sparse(catalog, profile, allocation, sparse_strategy,
+  s::Simulator sparse(catalog, profile, allocation, *sparse_strategy,
                       sparse_options);
   ASSERT_FALSE(dense.sparse_active());
   ASSERT_TRUE(sparse.sparse_active());
@@ -544,7 +540,11 @@ void run_twins(TwinConfig cfg) {
     }
     // Both twins have identical admission state, so one demand stream (drawn
     // against the dense twin) is valid for both.
-    const auto demands = audience.demands(dense);
+    auto demands = audience.demands(dense);
+    if (round == cfg.burst_round) {
+      for (m::BoxId b = 0; b < cfg.boxes; ++b)
+        demands.push_back({b, b % cfg.videos});
+    }
     dense.step(demands);
     sparse.step(demands);
     ASSERT_EQ(dense.report().chunks_served, sparse.report().chunks_served)
@@ -570,6 +570,7 @@ void run_twins(TwinConfig cfg) {
   // path collects every live row every round.
   EXPECT_LT(sparse.report().rows_built, dense.report().rows_built);
   EXPECT_GT(sparse.report().rows_built, 0u);
+  if (sparse_report != nullptr) *sparse_report = sparse.report();
 }
 
 }  // namespace
@@ -605,13 +606,35 @@ TEST(SparseTwins, CapacityOverride) {
 }
 
 TEST(SparseTwins, EagerRebuildFallback) {
-  // rebuild_fraction 0 forces the dirty-fraction fallback almost every round;
-  // correctness must not depend on the patch path being taken.
+  // Arrivals outnumbering the live rows trip the dirty-fraction fallback,
+  // which rebuilds every row: once as the first demands ramp up, and again
+  // after a flash crowd. Correctness must not depend on the patch path.
   TwinConfig cfg;
-  cfg.options.sparse_rebuild_fraction = 0.0;
   cfg.fail_prob = 0.02;
   cfg.rounds = 30;
-  run_twins(cfg);
+  s::RunReport calm;
+  run_twins(cfg, &calm);
+  cfg.burst_round = 1;
+  s::RunReport burst;
+  run_twins(cfg, &burst);
+  EXPECT_GT(calm.sparse_full_rebuilds, 0u);
+  EXPECT_GT(burst.sparse_full_rebuilds, calm.sparse_full_rebuilds);
+}
+
+TEST(SparseTwins, StaleGrantsNeverServe) {
+  // Every request also grants a cache entry that is already expired; the
+  // sparse rows must drop it again in the same round (edges, served and the
+  // verified assignment all match the dense twin).
+  TwinConfig cfg;
+  cfg.fail_prob = 0.02;
+  s::RunReport plain;
+  run_twins(cfg, &plain);
+  cfg.stale_grants = true;
+  s::RunReport stale;
+  run_twins(cfg, &stale);
+  EXPECT_EQ(stale.chunks_served, plain.chunks_served);
+  EXPECT_GT(stale.row_patches, plain.row_patches);  // patched, then retired
+  EXPECT_GT(stale.sparse_expiry_events, plain.sparse_expiry_events);
 }
 
 TEST(SparseTwins, RandomizedChurnProperty) {

@@ -1,17 +1,19 @@
-// E12a — matching-engine micro-benchmarks (google-benchmark).
+// E12a — matching micro-benchmarks (google-benchmark).
 //
 // The per-round connection matching is the simulator's inner loop; this
-// binary measures the three engines on synthetic connection problems shaped
-// like real rounds (requests ~ n·c, candidates ~ k + swarm backlog):
-//   * Dinic on the §2.3 flow network,
-//   * capacity-aware Hopcroft–Karp,
-//   * the incremental matcher repairing a previous round's assignment.
+// binary measures it on synthetic connection problems shaped like real
+// rounds (requests ~ n·c, candidates ~ k + swarm backlog):
+//   * Dinic on the §2.3 flow network (ConnectionProblem::solve),
+//   * capacity-aware Hopcroft–Karp, the tests' independent oracle,
+//   * CsrMatcher::repair re-deriving a dense round from the previous
+//     round's assignment,
+//   * the sparse CSR path: row patches, row rebuilds, CsrMatcher::augment.
 #include <benchmark/benchmark.h>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
 #include "flow/csr_problem.hpp"
-#include "flow/matcher.hpp"
+#include "flow/hopcroft_karp.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -43,7 +45,7 @@ void BM_Dinic(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(problem.solve(flow::Engine::kDinic).served);
+    benchmark::DoNotOptimize(problem.solve().served);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           problem.request_count());
@@ -53,30 +55,31 @@ BENCHMARK(BM_Dinic)->Arg(64)->Arg(256)->Arg(1024);
 void BM_HopcroftKarp(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
+  std::vector<std::vector<std::uint32_t>> adjacency;
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r)
+    adjacency.push_back(problem.candidates(r));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        problem.solve(flow::Engine::kHopcroftKarp).served);
+    flow::HopcroftKarp solver(adjacency, problem.capacities());
+    benchmark::DoNotOptimize(solver.solve());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           problem.request_count());
 }
 BENCHMARK(BM_HopcroftKarp)->Arg(64)->Arg(256)->Arg(1024);
 
-// Incremental repair when 90% of the assignment carries over — the common
+// Dense repair when 90% of the assignment carries over — the common
 // steady-state round (only new joiners and retirements change the problem).
 void BM_IncrementalRepair(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
-  flow::IncrementalMatcher matcher(boxes);
-  const auto base =
-      matcher.solve(problem, std::vector<std::int32_t>(
-                                 problem.request_count(), -1));
+  flow::CsrMatcher matcher;
+  const auto base = matcher.repair(
+      problem, std::vector<std::int32_t>(problem.request_count(), -1));
   // Invalidate 10% of the carried assignment.
-  auto carry = base.assignment;
+  auto carry = base.match.assignment;
   for (std::size_t i = 0; i < carry.size(); i += 10) carry[i] = -1;
   for (auto _ : state) {
-    flow::IncrementalMatcher fresh(boxes);
-    benchmark::DoNotOptimize(fresh.solve(problem, carry).served);
+    benchmark::DoNotOptimize(matcher.repair(problem, carry).match.served);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           problem.request_count());
@@ -136,9 +139,10 @@ void BM_CsrRowRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrRowRebuild)->Arg(256)->Arg(4096);
 
-// Matching repair with 10% of rows dirtied — CsrMatcher re-augments only the
-// dirty rows, where IncrementalMatcher (BM_IncrementalRepair above) re-walks
-// the whole carry vector each round.
+// Matching repair with 10% of rows dirtied — the sparse engine keeps the
+// matching alive and re-augments only the dirty rows, where the dense
+// repair (BM_IncrementalRepair above) re-walks the whole carry vector and
+// re-seats every kept connection each round.
 void BM_CsrMatcherRepair(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);

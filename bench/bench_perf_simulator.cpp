@@ -1,7 +1,7 @@
 // E12b — simulator round-throughput benchmarks (google-benchmark).
 //
 // Measures full simulated rounds per second under a steady Zipf audience on
-// the dense (incremental matcher) and sparse (CSR repair) round paths, and
+// the dense (carry repair) and sparse (persistent CSR repair) round paths, and
 // scaling n. BM_IncrementalRepair in bench_perf_flow measures the repair
 // against a from-scratch solve.
 #include <benchmark/benchmark.h>

@@ -65,19 +65,23 @@ void CsrMatcher::next_epoch() {
   ++epoch_;
 }
 
-bool CsrMatcher::augment(const CsrProblem& csr,
-                         std::span<const std::uint32_t> capacity,
-                         std::uint32_t row) {
-  OBS_SPAN("flow/csr_augment");
-  AugmentCounters& counters = AugmentCounters::get();
-  counters.calls.add();
-  std::size_t max_depth = 1;
+void CsrMatcher::assign(std::uint32_t row, std::uint32_t box) {
+  assignment_[row] = static_cast<std::int32_t>(box);
+  served_by_[box].push_back(row);
+  ++degree_[box];
+}
+
+template <class RowsOf>
+bool CsrMatcher::search(const RowsOf& rows_of,
+                        std::span<const std::uint32_t> capacity,
+                        std::uint32_t row, std::size_t& max_depth) {
+  max_depth = 1;
   next_epoch();
   stack_.clear();
   stack_.push_back({row, 0, 0, false});
   while (!stack_.empty()) {
     Frame& f = stack_.back();
-    const auto candidates = csr.row(f.row);
+    const std::span<const std::uint32_t> candidates = rows_of(f.row);
     if (!f.in_box) {
       bool descended = false;
       while (f.ci < candidates.size()) {
@@ -92,16 +96,13 @@ bool CsrMatcher::augment(const CsrProblem& csr,
           // row takes the free slot; every ancestor overwrites the serving
           // its child vacated (served_by_ positions stay put, so no vector
           // churn along the path).
-          assignment_[f.row] = static_cast<std::int32_t>(box);
-          served_by_[box].push_back(f.row);
-          ++degree_[box];
+          assign(f.row, box);
           for (std::size_t i = stack_.size() - 1; i-- > 0;) {
             const Frame& parent = stack_[i];
-            const std::uint32_t parent_box = csr.row(parent.row)[parent.ci];
+            const std::uint32_t parent_box = rows_of(parent.row)[parent.ci];
             served_by_[parent_box][parent.si] = parent.row;
             assignment_[parent.row] = static_cast<std::int32_t>(parent_box);
           }
-          counters.depth.observe(max_depth);
           return true;
         }
         // Box saturated: try to displace one of the rows it serves.
@@ -129,8 +130,64 @@ bool CsrMatcher::augment(const CsrProblem& csr,
     stack_.push_back({servings[f.si], 0, 0, false});
     max_depth = std::max(max_depth, stack_.size());
   }
-  counters.depth.observe(max_depth);
   return false;
+}
+
+bool CsrMatcher::augment(const CsrProblem& csr,
+                         std::span<const std::uint32_t> capacity,
+                         std::uint32_t row) {
+  OBS_SPAN("flow/csr_augment");
+  AugmentCounters& counters = AugmentCounters::get();
+  counters.calls.add();
+  std::size_t max_depth = 1;
+  const bool served = search(
+      [&csr](std::uint32_t r) { return csr.row(r); }, capacity, row,
+      max_depth);
+  counters.depth.observe(max_depth);
+  return served;
+}
+
+CsrMatcher::RepairResult CsrMatcher::repair(
+    const ConnectionProblem& problem, std::span<const std::int32_t> carry) {
+  const std::uint32_t boxes = problem.box_count();
+  const std::uint32_t requests = problem.request_count();
+  const std::span<const std::uint32_t> capacity = problem.capacities();
+  degree_.assign(boxes, 0);
+  served_by_.resize(boxes);
+  for (auto& servings : served_by_) servings.clear();
+  visit_mark_.resize(boxes, 0);  // stale marks are older epochs
+  assignment_.assign(requests, -1);
+
+  RepairResult result;
+  // Keep carried connections that are still valid.
+  for (std::uint32_t r = 0; r < requests && r < carry.size(); ++r) {
+    if (carry[r] < 0) continue;
+    const auto box = static_cast<std::uint32_t>(carry[r]);
+    if (box >= boxes || degree_[box] >= capacity[box]) continue;
+    const auto& candidates = problem.candidates(r);
+    if (std::find(candidates.begin(), candidates.end(), box) ==
+        candidates.end())
+      continue;
+    assign(r, box);
+    ++result.kept_connections;
+  }
+
+  // Augment the rest. Exhaustive from a valid partial matching, so the
+  // result is maximum (Berge): keeping edges never costs a served request.
+  const auto rows_of = [&problem](std::uint32_t r) {
+    return std::span<const std::uint32_t>(problem.candidates(r));
+  };
+  std::size_t max_depth = 1;
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    if (assignment_[r] < 0 && search(rows_of, capacity, r, max_depth))
+      ++result.new_connections;
+  }
+
+  result.match.assignment = assignment_;
+  result.match.served = static_cast<std::uint32_t>(result.kept_connections +
+                                                   result.new_connections);
+  result.match.complete = result.match.served == requests;
+  return result;
 }
 
 }  // namespace p2pvod::flow

@@ -1,11 +1,16 @@
-// Incremental b-matching repair over a CsrProblem.
+// Incremental b-matching repair: the round loop's cost-blind matcher.
 //
-// The dense IncrementalMatcher re-derives the assignment every round from a
-// carry vector and clears an O(box_count) visited array per augmentation —
-// fine at workshop n, quadratic poison at a million boxes. CsrMatcher keeps
-// the matching itself alive across rounds: retiring requests unassign their
-// slot, churned boxes bulk-unassign everything they served, and each round
-// only the currently unmatched slots seed augmenting paths.
+// The paper's model lets boxes keep connections across rounds and only wire
+// new ones (one round is "the time necessary for a box to establish a
+// connection", §1.1). CsrMatcher serves both round engines with one
+// augmenting-path search:
+//   - sparse (E16): the matching itself stays alive across rounds over a
+//     CsrProblem. Retiring requests unassign their slot, churned boxes
+//     bulk-unassign everything they served, and each round only the
+//     currently unmatched slots seed augment() calls;
+//   - dense: repair() takes the round's freshly built ConnectionProblem and
+//     last round's assignment, keeps every carried connection that is still
+//     valid and augments the rest.
 //
 // Two ingredients keep an augmentation O(edges explored):
 //   - visited marks are epoch stamps (one uint32 per box, bumped per call),
@@ -14,21 +19,25 @@
 //     so a million-deep path cannot smash the C++ stack.
 //
 // Starting from any valid partial matching, exhaustively augmenting every
-// unmatched slot yields a maximum matching (Berge), so the sparse round
-// serves exactly as many requests as a from-scratch solve — the equivalence
-// the simulator's verify path checks.
+// unmatched slot yields a maximum matching (Berge), so either engine serves
+// exactly as many requests as a from-scratch solve — the equivalence the
+// simulator's verify path checks.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "flow/bipartite.hpp"
 #include "flow/csr_problem.hpp"
 
 namespace p2pvod::flow {
 
 class CsrMatcher {
  public:
+  /// No per-box state until the first repair() sizes it from its problem.
+  CsrMatcher() = default;
+  /// Per-box state for `box_count` boxes, for augment() over a CsrProblem.
   explicit CsrMatcher(std::uint32_t box_count);
 
   /// Grow the slot table so slots [0, rows) are addressable.
@@ -56,6 +65,19 @@ class CsrMatcher {
   bool augment(const CsrProblem& csr, std::span<const std::uint32_t> capacity,
                std::uint32_t row);
 
+  struct RepairResult {
+    MatchResult match;  ///< maximum matching, same contract as solve()
+    std::uint64_t kept_connections = 0;  ///< carried connections kept
+    std::uint64_t new_connections = 0;   ///< requests served by augmenting
+  };
+
+  /// Dense round: discard the current matching, re-size per-box state to
+  /// `problem`, keep each carry[r] (the box that served request r last
+  /// round, or -1) that is still a candidate of r with spare capacity, in
+  /// request order, then augment every other request in order.
+  [[nodiscard]] RepairResult repair(const ConnectionProblem& problem,
+                                    std::span<const std::int32_t> carry);
+
  private:
   struct Frame {
     std::uint32_t row;  ///< request slot this frame tries to serve
@@ -65,6 +87,13 @@ class CsrMatcher {
   };
 
   void next_epoch();
+  void assign(std::uint32_t row, std::uint32_t box);
+  /// The augmenting-path search behind augment() and repair(): `rows_of(r)`
+  /// yields row r's candidate boxes. Sets `max_depth` to the deepest frame
+  /// stack reached.
+  template <class RowsOf>
+  bool search(const RowsOf& rows_of, std::span<const std::uint32_t> capacity,
+              std::uint32_t row, std::size_t& max_depth);
 
   std::vector<std::int32_t> assignment_;           ///< per slot, -1 = free
   std::vector<std::uint32_t> degree_;              ///< per box

@@ -43,28 +43,55 @@ bool Dinic::build_levels(NodeId source, NodeId sink) {
   return level_[sink] >= 0;
 }
 
-Capacity Dinic::augment(NodeId v, NodeId sink, Capacity limit) {
-  if (v == sink || limit == 0) return limit;
-  Capacity pushed = 0;
-  auto& arc = next_arc_[v];
-  const auto& edges = network_.adjacency_[v];
-  while (arc < edges.size()) {
-    const EdgeId e = edges[arc];
-    const NodeId w = network_.to_[e];
-    if (network_.cap_[e] > 0 && level_[w] == level_[v] + 1) {
-      const Capacity amount =
-          augment(w, sink, std::min(limit - pushed, network_.cap_[e]));
-      if (amount > 0) {
-        network_.push(e, amount);
-        pushed += amount;
-        if (pushed == limit) return pushed;
-        continue;  // same arc may still have residual capacity
+Capacity Dinic::blocking_flow(NodeId source, NodeId sink) {
+  // Each frame is one call of the textbook recursive DFS: try the current
+  // arc; when the child returns flow, push it and retry the same arc (it may
+  // still have residual capacity); when it returns none, advance the arc. A
+  // node whose arcs run out is a dead end for the rest of the phase.
+  stack_.assign(1, Frame{source, kInfCapacity, 0});
+  Capacity returned = 0;  // flow pushed by the frame just popped
+  bool resumed = false;   // the top frame's child has just returned
+  for (;;) {
+    Frame& f = stack_.back();
+    const NodeId v = f.v;
+    bool done = v == sink || f.limit == 0;
+    if (done) {
+      f.pushed = f.limit;
+    } else {
+      auto& arc = next_arc_[v];
+      const auto& edges = network_.adjacency_[v];
+      if (resumed) {
+        resumed = false;
+        if (returned > 0) {
+          network_.push(edges[arc], returned);
+          f.pushed += returned;
+          done = f.pushed == f.limit;
+        } else {
+          ++arc;
+        }
+      }
+      if (!done) {
+        while (arc < edges.size()) {
+          const EdgeId e = edges[arc];
+          if (network_.cap_[e] > 0 &&
+              level_[network_.to_[e]] == level_[v] + 1)
+            break;
+          ++arc;
+        }
+        if (arc < edges.size()) {
+          const EdgeId e = edges[arc];
+          const Capacity limit = std::min(f.limit - f.pushed, network_.cap_[e]);
+          stack_.push_back({network_.to_[e], limit, 0});  // invalidates f
+          continue;
+        }
+        level_[v] = -1;  // dead end; prune for this phase
       }
     }
-    ++arc;
+    returned = stack_.back().pushed;
+    stack_.pop_back();
+    if (stack_.empty()) return returned;
+    resumed = true;
   }
-  level_[v] = -1;  // dead end; prune for this phase
-  return pushed;
 }
 
 Capacity Dinic::max_flow(NodeId source, NodeId sink) {
@@ -74,7 +101,7 @@ Capacity Dinic::max_flow(NodeId source, NodeId sink) {
   while (build_levels(source, sink)) {
     phases_counter().add();
     next_arc_.assign(network_.node_count(), 0);
-    total += augment(source, sink, kInfCapacity);
+    total += blocking_flow(source, sink);
   }
   return total;
 }

@@ -7,6 +7,10 @@
 // degree is below cap_b — the phase structure and O(E sqrt(V)) bound carry
 // over (equivalent to HK on the graph with cap_b copies of each box, without
 // materializing the copies).
+//
+// No round engine uses it: ConnectionProblem::solve runs Dinic, which
+// degenerates into Hopcroft–Karp on these networks. It stays as an
+// independent oracle that tests and micro-benchmarks cross-check against.
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,8 @@
 // is most likely to introduce. validate_assignment checks the assignment
 // itself and throws std::logic_error naming the first offending request, so
 // a verification failure pinpoints the broken edge instead of reporting a
-// bare cardinality mismatch. Both the dense incremental path and the sparse
-// CSR path funnel through it.
+// bare cardinality mismatch. The simulator's verify path funnels both round
+// engines through it.
 #pragma once
 
 #include "flow/bipartite.hpp"

@@ -103,7 +103,6 @@ Simulator::Simulator(const model::Catalog& catalog,
       options_(std::move(options)),
       swarms_(catalog.video_count()),
       cache_(catalog.stripe_count(), catalog.duration()),
-      matcher_(profile.size()),
       busy_until_(profile.size(), 0) {
   if (allocation_.box_count() != profile_.size())
     throw std::invalid_argument("Simulator: allocation/profile size mismatch");
@@ -317,24 +316,17 @@ std::uint32_t Simulator::solve_round_dense() {
     if (options_.topology != nullptr) {
       result = solve_zone_aware(problem);
     } else {
-      result = matcher_.solve(problem, live_.carry);
-      if (options_.verify_incremental) {
-        flow::validate_assignment(problem, result);
-        if (problem.solve().served != result.served)
-          throw std::logic_error(
-              "Simulator: incremental matcher disagrees with reference solve");
-      }
+      // Connection reuse is cost-blind, so only this branch keeps carries.
+      auto repaired = matcher_.repair(problem, live_.carry);
+      report_.kept_connections += repaired.kept_connections;
+      report_.new_connections += repaired.new_connections;
+      result = std::move(repaired.match);
+      if (options_.verify_incremental) verify_round(problem, result);
     }
   }
 
   const std::uint32_t served = result.served;
   live_.carry = std::move(result.assignment);
-  // Connection-reuse accounting comes from the incremental matcher, which a
-  // topology supersedes — don't report stats from a matcher that never ran.
-  if (options_.topology == nullptr) {
-    report_.kept_connections = matcher_.stats().kept_connections;
-    report_.new_connections = matcher_.stats().new_connections;
-  }
   return served;
 }
 
@@ -357,21 +349,26 @@ std::uint32_t Simulator::solve_round_sparse() {
   report_.sparse_expiry_events = stats.expiry_events;
 
   if (options_.verify_incremental) {
-    // Reconstruct the round's dense problem from ground truth and validate
-    // the sparse assignment against it: membership and capacity violations
-    // surface here with the offending request named, and a served-count
-    // mismatch against the reference solve catches lost maximality.
-    const flow::ConnectionProblem problem = build_connection_problem();
-    flow::MatchResult check;
-    check.assignment = live_.carry;
-    check.served = served;
-    check.complete = served == live_.size();
-    flow::validate_assignment(problem, check);
-    if (problem.solve().served != served)
-      throw std::logic_error(
-          "Simulator: sparse matcher disagrees with reference solve");
+    // The sparse rows are persistent, so the reference problem is rebuilt
+    // from ground truth: a row that drifted shows up as a wrong assignment.
+    flow::MatchResult result;
+    result.assignment = live_.carry;
+    result.served = served;
+    result.complete = served == live_.size();
+    verify_round(build_connection_problem(), result);
   }
   return served;
+}
+
+void Simulator::verify_round(const flow::ConnectionProblem& problem,
+                             const flow::MatchResult& result) const {
+  // Membership and capacity violations surface in validate_assignment with
+  // the offending request named; a served-count mismatch against the
+  // reference solve catches lost maximality.
+  flow::validate_assignment(problem, result);
+  if (problem.solve().served != result.served)
+    throw std::logic_error(
+        "Simulator: round matching disagrees with reference solve");
 }
 
 flow::MatchResult Simulator::solve_zone_aware(

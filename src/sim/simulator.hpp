@@ -28,7 +28,7 @@
 
 #include "alloc/allocation.hpp"
 #include "flow/bipartite.hpp"
-#include "flow/matcher.hpp"
+#include "flow/csr_matcher.hpp"
 #include "flow/min_cost.hpp"
 #include "model/capacity.hpp"
 #include "net/topology.hpp"
@@ -174,11 +174,16 @@ class Simulator {
   void activate_pending();
   void solve_round();
   /// Dense engine: build this round's ConnectionProblem from scratch and
-  /// solve it (zone-aware min-cost, or an incremental repair of last
-  /// round's assignment). Returns requests served.
+  /// solve it (zone-aware min-cost, or CsrMatcher::repair of last round's
+  /// assignment). Returns requests served.
   std::uint32_t solve_round_dense();
   /// Sparse engine: patch-and-repair round on the persistent CSR state.
   std::uint32_t solve_round_sparse();
+  /// verify_incremental: `result` must be a valid assignment for `problem`
+  /// serving as many requests as a from-scratch Dinic solve; throws
+  /// std::logic_error otherwise.
+  void verify_round(const flow::ConnectionProblem& problem,
+                    const flow::MatchResult& result) const;
   /// Ground-truth candidates of one request at this round (duplicates
   /// allowed): online static holders other than the requester, then every
   /// cache entry that serves it (CacheIndex::collect_servers).
@@ -219,7 +224,9 @@ class Simulator {
 
   SwarmRegistry swarms_;
   CacheIndex cache_;
-  flow::IncrementalMatcher matcher_;
+  /// Dense cost-blind rounds; sizes its per-box state on first use, so the
+  /// sparse and zone-aware engines never pay for it.
+  flow::CsrMatcher matcher_;
   /// Persistent CSR adjacency + matching; null on the dense engine.
   std::unique_ptr<SparseRoundState> sparse_;
 

@@ -1,7 +1,8 @@
 // Cross-round sparse candidate index + incremental matching repair.
 //
 // The dense round loop rebuilds every request's candidate list every round
-// (collect, sort, unique) and re-derives the matching from a carry vector.
+// (collect, sort, unique) and re-derives the matching from a carry vector
+// (flow::CsrMatcher::repair).
 // SparseRoundState is the million-box replacement: it owns a flow::CsrProblem
 // whose rows persist across rounds and a flow::CsrMatcher whose matching
 // persists across rounds, and maintains both by deltas:
@@ -39,8 +40,8 @@
 
 namespace p2pvod::sim {
 
-/// Cumulative work counters for the sparse path (reported like
-/// flow::IncrementalStats).
+/// Cumulative work counters for the sparse path, copied into RunReport after
+/// every round.
 struct SparseStats {
   std::uint64_t rows_built = 0;     ///< rows collected from ground truth
   std::uint64_t row_patches = 0;    ///< surgical source inserts/removals

@@ -1,14 +1,15 @@
 // Unit tests for src/flow: Dinic max-flow, Hopcroft-Karp b-matching, the
-// connection-problem reduction, Hall checking, incremental matching, and the
-// min-cost matching engine (successive shortest paths with potentials).
+// connection-problem reduction, Hall checking, the dense repair entry of
+// CsrMatcher, and the min-cost matching engine (successive shortest paths
+// with potentials).
 #include <gtest/gtest.h>
 
 #include "flow/bipartite.hpp"
+#include "flow/csr_matcher.hpp"
 #include "flow/dinic.hpp"
 #include "flow/graph.hpp"
 #include "flow/hall.hpp"
 #include "flow/hopcroft_karp.hpp"
-#include "flow/matcher.hpp"
 #include "flow/min_cost.hpp"
 #include "util/rng.hpp"
 
@@ -175,6 +176,30 @@ f::ConnectionProblem random_problem(p2pvod::util::Rng& rng,
   }
   return problem;
 }
+
+/// HopcroftKarp, the independent oracle, in ConnectionProblem::solve's form.
+f::MatchResult solve_by_hopcroft_karp(const f::ConnectionProblem& problem) {
+  std::vector<std::vector<std::uint32_t>> adjacency;
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r)
+    adjacency.push_back(problem.candidates(r));
+  f::HopcroftKarp solver(adjacency, problem.capacities());
+  f::MatchResult result;
+  result.served = solver.solve();
+  result.assignment = solver.assignment();
+  result.complete = result.served == problem.request_count();
+  return result;
+}
+
+/// The chain r_i = {i, i+1} (i < n), r_n = {0}, every capacity 1: feasible,
+/// but serving r_n displaces every other request in turn, so augmenting
+/// paths and Dinic level graphs are O(n) deep.
+f::ConnectionProblem chain_problem(std::uint32_t n) {
+  f::ConnectionProblem problem(n + 1);
+  problem.set_capacities(std::vector<std::uint32_t>(n + 1, 1));
+  for (std::uint32_t i = 0; i < n; ++i) problem.add_request({i, i + 1});
+  problem.add_request({0});
+  return problem;
+}
 }  // namespace
 
 TEST(ConnectionProblem, TrivialComplete) {
@@ -203,8 +228,8 @@ TEST(ConnectionProblem, EnginesAgreeOnRandomInstances) {
   p2pvod::util::Rng rng(77);
   for (int trial = 0; trial < 50; ++trial) {
     auto problem = random_problem(rng, 8, 12, 3, 0.3);
-    const auto dinic = problem.solve(f::Engine::kDinic);
-    const auto hk = problem.solve(f::Engine::kHopcroftKarp);
+    const auto dinic = problem.solve();
+    const auto hk = solve_by_hopcroft_karp(problem);
     ASSERT_EQ(dinic.served, hk.served) << "trial " << trial;
   }
 }
@@ -213,8 +238,8 @@ TEST(ConnectionProblem, AssignmentRespectsCapacities) {
   p2pvod::util::Rng rng(88);
   for (int trial = 0; trial < 25; ++trial) {
     auto problem = random_problem(rng, 6, 15, 2, 0.4);
-    for (const auto engine : {f::Engine::kDinic, f::Engine::kHopcroftKarp}) {
-      const auto result = problem.solve(engine);
+    for (const auto& result :
+         {problem.solve(), solve_by_hopcroft_karp(problem)}) {
       const auto degrees = result.box_degrees(problem.box_count());
       for (std::uint32_t b = 0; b < problem.box_count(); ++b)
         EXPECT_LE(degrees[b], problem.capacity(b));
@@ -267,6 +292,28 @@ TEST(ConnectionProblem, WitnessViolatesHall) {
     EXPECT_LT(cap, witness->size());
   }
   EXPECT_GT(found, 0) << "no infeasible instance generated; weaken params";
+}
+
+// A 10^6-link chain makes Dinic's second phase one path through every node
+// (about 2·10^6 levels deep): the blocking-flow DFS must not recurse.
+TEST(ConnectionProblem, MillionDeepChain) {
+  constexpr std::uint32_t kN = 1'000'000;
+  auto problem = chain_problem(kN);
+  const auto result = problem.solve();
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.served, kN + 1);
+  EXPECT_EQ(result.assignment[kN], 0);
+  EXPECT_FALSE(problem.infeasibility_witness().has_value());
+
+  // One more request for box 0 overloads the chain: the same deep phase
+  // runs, then the min cut leaves every request on the sink side.
+  problem.add_request({0});
+  const auto witness = problem.infeasibility_witness();
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_EQ(witness->size(), kN + 2);
+  const auto violation = f::HallChecker::check_subset(problem, *witness);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->capacity, kN + 1);
 }
 
 TEST(ConnectionProblem, EdgeCountSums) {
@@ -342,67 +389,86 @@ TEST(Hall, Lemma1EquivalenceOnRandomInstances) {
 
 // ----------------------------------------------------------------- matcher
 
-TEST(IncrementalMatcher, MatchesFromScratch) {
+TEST(CsrMatcherRepair, MatchesFromScratch) {
   f::ConnectionProblem p(2);
   p.set_capacity(0, 1);
   p.set_capacity(1, 1);
   p.add_request({0, 1});
   p.add_request({0});
-  f::IncrementalMatcher matcher(2);
-  const auto result = matcher.solve(p, {-1, -1});
-  EXPECT_TRUE(result.complete);
+  f::CsrMatcher matcher;
+  const auto repaired = matcher.repair(p, std::vector<std::int32_t>{-1, -1});
+  EXPECT_TRUE(repaired.match.complete);
+  EXPECT_EQ(repaired.kept_connections, 0u);
+  EXPECT_EQ(repaired.new_connections, 2u);
 }
 
-TEST(IncrementalMatcher, KeepsValidCarries) {
+TEST(CsrMatcherRepair, KeepsValidCarries) {
   f::ConnectionProblem p(2);
   p.set_capacity(0, 1);
   p.set_capacity(1, 1);
   p.add_request({0, 1});
   p.add_request({0, 1});
-  f::IncrementalMatcher matcher(2);
-  const auto result = matcher.solve(p, {1, 0});  // previous round's wiring
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.assignment[0], 1);
-  EXPECT_EQ(result.assignment[1], 0);
-  EXPECT_EQ(matcher.stats().kept_connections, 2u);
-  EXPECT_EQ(matcher.stats().new_connections, 0u);
+  f::CsrMatcher matcher;
+  // Previous round's wiring.
+  const auto repaired = matcher.repair(p, std::vector<std::int32_t>{1, 0});
+  EXPECT_TRUE(repaired.match.complete);
+  EXPECT_EQ(repaired.match.assignment[0], 1);
+  EXPECT_EQ(repaired.match.assignment[1], 0);
+  EXPECT_EQ(repaired.kept_connections, 2u);
+  EXPECT_EQ(repaired.new_connections, 0u);
 }
 
-TEST(IncrementalMatcher, DropsInvalidCarries) {
+TEST(CsrMatcherRepair, DropsInvalidCarries) {
   f::ConnectionProblem p(2);
   p.set_capacity(0, 1);
   p.set_capacity(1, 1);
   p.add_request({1});  // box 0 no longer a candidate
-  f::IncrementalMatcher matcher(2);
-  const auto result = matcher.solve(p, {0});
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.assignment[0], 1);
+  f::CsrMatcher matcher;
+  const auto repaired = matcher.repair(p, std::vector<std::int32_t>{0});
+  EXPECT_TRUE(repaired.match.complete);
+  EXPECT_EQ(repaired.match.assignment[0], 1);
+  EXPECT_EQ(repaired.kept_connections, 0u);
+  EXPECT_EQ(repaired.new_connections, 1u);
 }
 
-TEST(IncrementalMatcher, AgreesWithDinicOnRandomSequences) {
+// One matcher across rounds whose box counts differ: repair() re-sizes its
+// per-box state from each problem.
+TEST(CsrMatcherRepair, AgreesWithDinicOnRandomSequences) {
   p2pvod::util::Rng rng(555);
-  f::IncrementalMatcher matcher(8);
+  f::CsrMatcher matcher;
   std::vector<std::int32_t> carry;
+  std::uint64_t kept = 0;
   for (int round = 0; round < 40; ++round) {
-    auto problem = random_problem(rng, 8, 10, 2, 0.35);
+    const auto boxes = static_cast<std::uint32_t>(6 + round % 3);
+    auto problem = random_problem(rng, boxes, 10, 2, 0.35);
     carry.resize(problem.request_count(), -1);
-    const auto incremental = matcher.solve(problem, carry);
-    const auto reference = problem.solve(f::Engine::kDinic);
-    ASSERT_EQ(incremental.served, reference.served) << "round " << round;
-    carry = incremental.assignment;
+    const auto repaired = matcher.repair(problem, carry);
+    const auto reference = problem.solve();
+    ASSERT_EQ(repaired.match.served, reference.served) << "round " << round;
+    ASSERT_EQ(repaired.match.served,
+              repaired.kept_connections + repaired.new_connections);
+    carry = repaired.match.assignment;
+    kept += repaired.kept_connections;
   }
-  EXPECT_GT(matcher.stats().kept_connections, 0u);
+  EXPECT_GT(kept, 0u);
 }
 
-TEST(IncrementalMatcher, RejectsBoxCountChange) {
-  f::IncrementalMatcher matcher(3);
-  f::ConnectionProblem p(2);
-  EXPECT_THROW((void)matcher.solve(p, {}), std::invalid_argument);
-}
-
-TEST(EngineName, Strings) {
-  EXPECT_STREQ(f::engine_name(f::Engine::kDinic), "dinic");
-  EXPECT_STREQ(f::engine_name(f::Engine::kHopcroftKarp), "hopcroft-karp");
+// Serving the last request of a 10^6-link chain displaces every carried
+// connection in turn: a 10^6-deep augmenting path.
+TEST(CsrMatcherRepair, MillionDeepChain) {
+  constexpr std::uint32_t kN = 1'000'000;
+  const auto problem = chain_problem(kN);
+  std::vector<std::int32_t> carry(kN + 1, -1);
+  for (std::uint32_t i = 0; i < kN; ++i) carry[i] = static_cast<std::int32_t>(i);
+  f::CsrMatcher matcher;
+  const auto repaired = matcher.repair(problem, carry);
+  EXPECT_TRUE(repaired.match.complete);
+  EXPECT_EQ(repaired.match.served, kN + 1);
+  EXPECT_EQ(repaired.kept_connections, kN);
+  EXPECT_EQ(repaired.new_connections, 1u);
+  EXPECT_EQ(repaired.match.assignment[kN], 0);
+  EXPECT_EQ(repaired.match.assignment[0], 1);
+  EXPECT_EQ(repaired.match.assignment[kN - 1], static_cast<std::int32_t>(kN));
 }
 
 // ----------------------------------------------------------------- min-cost
@@ -471,7 +537,7 @@ TEST(MinCostMatcher, ZeroCostsDegradeToDinic) {
     for (std::uint32_t r = 0; r < problem.request_count(); ++r)
       zero[r].assign(problem.candidates(r).size(), 0);
     const auto mincost = f::MinCostMatcher::solve(problem, zero);
-    const auto dinic = problem.solve(f::Engine::kDinic);
+    const auto dinic = problem.solve();
     ASSERT_EQ(mincost.match.served, dinic.served) << "trial " << trial;
     ASSERT_EQ(mincost.match.assignment, dinic.assignment) << "trial " << trial;
     ASSERT_EQ(mincost.total_cost, 0);
@@ -502,7 +568,7 @@ TEST(MinCostMatcher, ServedCountMatchesDinicUnderAnyCosts) {
     auto problem = random_problem(rng, 8, 14, 3, 0.3);
     const auto costs = random_costs(rng, problem, 9);
     const auto mincost = f::MinCostMatcher::solve(problem, costs);
-    const auto dinic = problem.solve(f::Engine::kDinic);
+    const auto dinic = problem.solve();
     ASSERT_EQ(mincost.match.served, dinic.served) << "trial " << trial;
     check_valid(problem, mincost);
   }
@@ -653,7 +719,7 @@ TEST(GroupCaps, UnlimitedBudgetAndUncappedEdgesNeverDrop) {
     groups.push_back({r % 2 == 0 ? 0u : f::kUncappedGroup});
   }
   const std::vector<std::uint32_t> caps{f::kUncappedGroup};
-  auto result = p.solve(f::Engine::kDinic);
+  auto result = p.solve();
   ASSERT_EQ(result.served, 8u);
   const auto outcome = f::enforce_group_caps(p, costs, groups, caps, result);
   EXPECT_EQ(outcome.rejections, 0u);
@@ -685,7 +751,7 @@ TEST(GroupCaps, RejectsBadShapesAndGroupIds) {
   f::ConnectionProblem p(1);
   p.set_capacity(0, 1);
   p.add_request({0});
-  auto result = p.solve(f::Engine::kDinic);
+  auto result = p.solve();
   // Row-count mismatch.
   EXPECT_THROW((void)f::enforce_group_caps(p, {{0}}, {}, {1}, result),
                std::invalid_argument);

@@ -159,9 +159,9 @@ TEST(Integration, EndToEndDeterminism) {
   EXPECT_EQ(r1.success, r2.success);
 }
 
-// The dense incremental matcher and the sparse CSR engine give identical
-// feasibility verdicts; both are cross-checked against a from-scratch Dinic
-// solve every round.
+// The dense repair (CsrMatcher::repair) and the sparse CSR engine give
+// identical feasibility verdicts; both are cross-checked against a
+// from-scratch Dinic solve every round.
 TEST(Integration, EngineChoiceDoesNotChangeOutcome) {
   const std::uint32_t n = 24, c = 4, k = 4;
   const m::Catalog catalog(12, c, 10);

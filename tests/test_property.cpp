@@ -4,7 +4,7 @@
 //     instance family
 //   * allocation schemes preserve structural invariants across seeds
 //   * simulator feasibility is monotone in upload capacity and replication
-//   * incremental matcher == reference matcher along whole simulations
+//   * dense repair matcher == reference matcher along whole simulations
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "analysis/calibrate.hpp"
 #include "flow/bipartite.hpp"
 #include "flow/hall.hpp"
+#include "flow/hopcroft_karp.hpp"
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
 #include "sim/simulator.hpp"
@@ -57,8 +58,12 @@ TEST_P(Lemma1Sweep, FlowFeasibilityEqualsHallCondition) {
       }
       problem.add_request(std::move(cands));
     }
-    const bool by_flow = problem.solve(f::Engine::kDinic).complete;
-    const bool by_hk = problem.solve(f::Engine::kHopcroftKarp).complete;
+    std::vector<std::vector<std::uint32_t>> adjacency;
+    for (std::uint32_t r = 0; r < p.requests; ++r)
+      adjacency.push_back(problem.candidates(r));
+    f::HopcroftKarp hk(adjacency, problem.capacities());
+    const bool by_flow = problem.solve().complete;
+    const bool by_hk = hk.solve() == p.requests;
     const bool by_hall = f::HallChecker::feasible(problem);
     ASSERT_EQ(by_flow, by_hall);
     ASSERT_EQ(by_hk, by_hall);

@@ -1,10 +1,14 @@
 // E12b — simulator round-throughput benchmarks (google-benchmark).
 //
 // Measures full simulated rounds per second under a steady Zipf audience on
-// the dense (carry repair) and sparse (persistent CSR repair) round paths, and
-// scaling n. BM_IncrementalRepair in bench_perf_flow measures the repair
-// against a from-scratch solve.
+// the dense (carry repair) and sparse (persistent CSR repair) round paths,
+// scaling n, and the cost of one box failure and recovery (BM_BoxOffline).
+// BM_IncrementalRepair in bench_perf_flow measures the repair against a
+// from-scratch solve.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "alloc/permutation.hpp"
 #include "sim/simulator.hpp"
@@ -103,6 +107,44 @@ void BM_RoundLoopSparseAtScale(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundLoopSparseAtScale)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+// Churn at production n: one box failing and coming back per iteration, on a
+// warmed-up sparse simulator. The failure strips only the box's own cache
+// grants, so per-event time does not follow the stripe count (4n/6 videos of
+// 4 stripes here); what still grows with n is the scan of the live requests
+// for relayed sessions and the order-preserving removal of an aborted
+// session's requests. Every 64 events a round is simulated (untimed) so
+// failed viewers are replaced and the cache stays populated.
+void BM_BoxOffline(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  BenchWorld world(n, /*sparse=*/true);
+  sim::PreloadingStrategy strategy;
+  sim::Simulator simulator(world.catalog, world.profile, world.allocation,
+                           strategy, world.options);
+  workload::ZipfDemand zipf(world.catalog.video_count(), 0.6, 0.02, 0x51);
+  for (int round = 0; round < 16; ++round)
+    simulator.step(zipf.demands(simulator));
+
+  model::BoxId box = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    simulator.set_box_online(box, false);
+    simulator.set_box_online(box, true);
+    benchmark::DoNotOptimize(simulator.report().sessions_aborted);
+    box = (box + 7919) % n;  // prime stride: failures spread over the boxes
+    if (++events % 64 == 0) {
+      state.PauseTiming();
+      simulator.step(zipf.demands(simulator));
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["aborted/event"] =
+      static_cast<double>(simulator.report().sessions_aborted) /
+      static_cast<double>(std::max<std::uint64_t>(1, events));
+}
+BENCHMARK(BM_BoxOffline)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 // Allocation cost (setup path, not the round loop).
 void BM_PermutationAllocate(benchmark::State& state) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -476,10 +477,13 @@ void Simulator::abort_session(SessionId id) {
   ++report_.sessions_aborted;
   busy_until_[session.box] = std::min(busy_until_[session.box], now_);
 
-  // Drop the session's live requests (order-preserving, keeps carry aligned)
-  // and its not-yet-activated pending requests.
-  std::size_t write = 0;
-  for (std::size_t i = 0; i < live_.size(); ++i) {
+  // Drop the session's live requests (order-preserving, keeps carry aligned;
+  // the prefix before its first one stays put) and its not-yet-activated
+  // pending requests.
+  const std::span<const SessionId> owners(live_.session);
+  auto write = static_cast<std::size_t>(
+      std::find(owners.begin(), owners.end(), id) - owners.begin());
+  for (std::size_t i = write; i < live_.size(); ++i) {
     if (live_.session[i] == id) {
       if (sparse_ != nullptr) sparse_->remove_request(live_.slot[i]);
       continue;
@@ -497,6 +501,7 @@ void Simulator::abort_session(SessionId id) {
 }
 
 void Simulator::set_box_online(model::BoxId box, bool online) {
+  OBS_SPAN("sim/churn");
   if (box >= profile_.size())
     throw std::out_of_range("Simulator::set_box_online");
   if (online_[box] == online) return;
@@ -525,26 +530,37 @@ void Simulator::set_box_online(model::BoxId box, bool online) {
     sparse_->on_box_offline(box, allocation_.stored(box),
                             scratch_cache_stripes_);
 
-  // Abort every playback the box was watching and every session that relied
-  // on it as the downloading requester (the §4 relay channel).
-  std::vector<bool> doomed(sessions_.size(), false);
-  for (SessionId id = 0; id < sessions_.size(); ++id) {
-    const Session& session = sessions_[id];
-    if (!session.aborted && session.ends > now_ && session.box == box)
-      doomed[id] = true;
+  // Abort the playback the box was watching and every session that relied
+  // on it as the downloading requester (the §4 relay channel). A box
+  // watches at most one session at a time, the one it is busy for: it ends
+  // at busy_until_[box], so it sits in that round's end events.
+  scratch_doomed_.clear();
+  if (const model::Round ends = busy_until_[box]; ends > now_) {
+    if (const auto it = end_events_.find(ends); it != end_events_.end()) {
+      for (const SessionId id : it->second) {
+        const Session& session = sessions_[id];
+        if (!session.aborted && session.box == box)
+          scratch_doomed_.push_back(id);
+      }
+    }
   }
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_.requester[i] == box) doomed[live_.session[i]] = true;
+  const std::span<const model::BoxId> requesters(live_.requester);
+  for (std::size_t i = 0; i < requesters.size(); ++i) {
+    if (requesters[i] == box) scratch_doomed_.push_back(live_.session[i]);
   }
   for (const auto& [round, pending] : pending_) {
     for (const PendingRequest& p : pending) {
-      if (p.plan.requester == box) doomed[p.session] = true;
+      if (p.plan.requester == box) scratch_doomed_.push_back(p.session);
     }
     (void)round;
   }
-  for (SessionId id = 0; id < sessions_.size(); ++id) {
-    if (doomed[id]) abort_session(id);
-  }
+  // Ascending session id, the order a sweep over every session gives: the
+  // sparse engine frees request slots in abort order.
+  std::sort(scratch_doomed_.begin(), scratch_doomed_.end());
+  scratch_doomed_.erase(
+      std::unique(scratch_doomed_.begin(), scratch_doomed_.end()),
+      scratch_doomed_.end());
+  for (const SessionId id : scratch_doomed_) abort_session(id);
 }
 
 void Simulator::step(const std::vector<Demand>& demands) {
@@ -631,7 +647,11 @@ void Simulator::check_invariants() const {
   };
   std::vector<std::uint32_t> swarm(catalog_.video_count(), 0);
   for (const Session& session : sessions_) {
-    if (is_live(session)) ++swarm[session.video];
+    if (!is_live(session)) continue;
+    ++swarm[session.video];
+    // set_box_online finds the playback a failed box watches by this.
+    if (busy_until_[session.box] != session.ends)
+      fail("a live session's box is not busy until the session ends");
   }
   for (model::VideoId v = 0; v < swarm.size(); ++v) {
     if (swarms_.size(v) != swarm[v])

@@ -100,6 +100,11 @@ class Simulator {
   /// forwarding for is aborted too (the §4 reserved channel dies with it).
   /// Coming back restores capacity and static storage; the playback cache is
   /// gone (it was volatile state).
+  ///
+  /// Cost follows neither the catalog nor the run's history: the cache index
+  /// walks only the box's own grants and the watched session is found
+  /// through the box's end event; the relayed sessions take one scan of the
+  /// live and pending requests. Aborts run in ascending session id.
   void set_box_online(model::BoxId box, bool online);
   [[nodiscard]] bool box_online(model::BoxId box) const {
     return online_.at(box);
@@ -144,7 +149,8 @@ class Simulator {
   /// Re-derive the simulator's incremental bookkeeping from scratch and
   /// throw std::logic_error naming the first invariant that disagrees:
   ///   - total_capacity_slots() == Σ capacity_slots(b)
-  ///   - each swarm's size == its sessions neither aborted nor ended
+  ///   - each swarm's size == its sessions neither aborted nor ended, and
+  ///     each such session's box is busy until the session ends
   ///   - each live session's pending request count == its live plus
   ///     not-yet-activated requests
   ///   - cumulative chunks served + stalled == Σ per-round active requests
@@ -259,6 +265,7 @@ class Simulator {
   std::vector<PlannedRequest> scratch_plans_;
   std::vector<model::StripeId> scratch_cache_stripes_;
   std::vector<CacheIndex::Entry> scratch_expired_;
+  std::vector<SessionId> scratch_doomed_;  ///< set_box_online's aborts
 };
 
 }  // namespace p2pvod::sim

@@ -259,3 +259,86 @@ TEST(Churn, SoakWithRandomChurnKeepsInvariants) {
   // Continuity may dip (k=6 tolerates most failures) but never collapses.
   EXPECT_GT(report.continuity(), 0.9);
 }
+
+TEST(Churn, ViewerFailingAfterItsLastChunkStillAborts) {
+  // Every request of the viewer has retired (its last chunk was delivered),
+  // but the session only ends at playback_start + T: the box is still busy
+  // and in the swarm. A lookup through live or pending requests alone would
+  // miss this session.
+  ChurnWorld world(3, 1, 2.0, /*T=*/4);
+  s::PreloadingStrategy strategy;
+  s::SimulatorOptions options;
+  options.verify_incremental = true;
+  s::Simulator sim(world.catalog, world.profile, world.allocation, strategy,
+                   options);
+  sim.step({{0, 0}});
+  while (sim.active_request_count() > 0) sim.step({});
+  ASSERT_FALSE(sim.box_idle(0));
+  ASSERT_EQ(sim.swarms().size(0), 1u);
+  ASSERT_EQ(sim.report().sessions_completed, 0u);
+
+  sim.set_box_online(0, false);
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+  EXPECT_EQ(sim.swarms().size(0), 0u);
+  sim.set_box_online(0, true);
+  EXPECT_TRUE(sim.box_idle(0));
+  for (int t = 0; t < 6; ++t) sim.step({});
+  EXPECT_TRUE(sim.report().success);
+  EXPECT_EQ(sim.report().sessions_completed, 0u);  // the end event is a no-op
+  EXPECT_EQ(sim.report().sessions_aborted, 1u);
+  EXPECT_NO_THROW(sim.check_invariants());
+}
+
+TEST(Churn, FailedRelayThatIsAlsoViewingAbortsBothSessions) {
+  // The relay of poor box 0 watches a video of its own when it fails: its
+  // playback and the session it forwards for both die, and nothing else.
+  // The report figures are the ones a full sweep over every session gives.
+  const auto profile = m::CapacityProfile::two_class(4, 1, 0.5, 2.0, 4.0, 8.0);
+  const m::Catalog catalog(2, 8, 16);
+  std::vector<a::Allocation::Placement> placements;
+  for (m::StripeId stripe = 0; stripe < catalog.stripe_count(); ++stripe)
+    placements.push_back({3, stripe});
+  const a::Allocation allocation(4, catalog.stripe_count(),
+                                 std::move(placements));
+  const auto plan = h::Compensator::plan(profile, 1.5, 8, 1.0);
+  ASSERT_TRUE(plan.has_value());
+  const m::BoxId relay = plan->relay[0];
+  ASSERT_NE(relay, m::kInvalidBox);
+  ASSERT_NE(relay, 3u);  // the holder stays up
+
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    h::RelayStrategy strategy(*plan);
+    s::SimulatorOptions options;
+    options.capacity_override = plan->capacity_slots();
+    options.strict = false;
+    options.verify_incremental = true;
+    options.sparse = sparse;
+    s::Simulator sim(catalog, profile, allocation, strategy, options);
+    sim.step({{0, 0}, {relay, 1}});
+    sim.step({});
+    ASSERT_EQ(sim.report().demands_admitted, 2u);
+    ASSERT_EQ(sim.swarms().size(0), 1u);
+    ASSERT_EQ(sim.swarms().size(1), 1u);
+
+    sim.set_box_online(relay, false);
+    EXPECT_EQ(sim.report().sessions_aborted, 2u);
+    EXPECT_EQ(sim.report().box_failures, 1u);
+    EXPECT_EQ(sim.swarms().size(0), 0u);
+    EXPECT_EQ(sim.swarms().size(1), 0u);
+    EXPECT_EQ(sim.active_request_count(), 0u);
+    EXPECT_TRUE(sim.box_idle(0));
+    EXPECT_FALSE(sim.box_idle(relay));  // offline
+
+    sim.set_box_online(relay, true);
+    for (int t = 0; t < 24; ++t) sim.step({});
+    const s::RunReport& report = sim.report();
+    EXPECT_EQ(report.requests_issued, 16u);
+    EXPECT_EQ(report.chunks_served, 4u);
+    EXPECT_EQ(report.chunks_stalled, 0u);
+    EXPECT_EQ(report.sessions_aborted, 2u);
+    EXPECT_EQ(report.sessions_completed, 0u);
+    EXPECT_TRUE(sim.box_idle(0));
+    EXPECT_TRUE(sim.box_idle(relay));
+  }
+}

@@ -2,10 +2,16 @@
 // strategies, and hand-checkable end-to-end simulator scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <optional>
+#include <queue>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -250,6 +256,166 @@ TEST(CacheIndex, EntryDeadWithItsBoxIsNeverReported) {
   EXPECT_EQ(expired[0].entry, 4);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_NO_THROW(cache.check_invariants());
+}
+
+namespace {
+
+/// Reference model for the differential test below: one vector per stripe
+/// and a remove_box that sweeps every stripe. It answers every query the
+/// way the pooled CacheIndex must.
+class ReferenceCache {
+ public:
+  using Entry = s::CacheIndex::Entry;
+
+  ReferenceCache(std::uint32_t stripe_count, m::Round window)
+      : per_stripe_(stripe_count), window_(window) {}
+
+  void grant(m::StripeId stripe, m::BoxId box, m::Round entry) {
+    per_stripe_[stripe].push_back({stripe, box, entry});
+    ++entries_;
+    calendar_.emplace(entry + window_ + 1, stripe);
+  }
+
+  [[nodiscard]] std::vector<m::BoxId> servers(m::StripeId stripe,
+                                              m::Round issue, m::Round now,
+                                              m::BoxId exclude) const {
+    std::vector<m::BoxId> out;
+    for (const Entry& e : per_stripe_[stripe]) {
+      if (e.entry >= now - window_ && e.entry < issue && e.box != exclude)
+        out.push_back(e.box);
+    }
+    return out;
+  }
+
+  void prune(m::Round now, std::vector<Entry>& expired) {
+    const m::Round oldest = now - window_;
+    const auto gone = [oldest](const Entry& e) { return e.entry < oldest; };
+    while (!calendar_.empty() && calendar_.top().first <= now) {
+      auto& entries = per_stripe_[calendar_.top().second];
+      calendar_.pop();
+      std::copy_if(entries.begin(), entries.end(),
+                   std::back_inserter(expired), gone);
+      entries_ -= std::erase_if(entries, gone);
+    }
+  }
+
+  std::uint64_t remove_box(m::BoxId box, std::vector<m::StripeId>& affected) {
+    std::uint64_t removed = 0;
+    for (m::StripeId stripe = 0; stripe < per_stripe_.size(); ++stripe) {
+      const auto dropped = std::erase_if(
+          per_stripe_[stripe], [box](const Entry& e) { return e.box == box; });
+      if (dropped > 0) affected.push_back(stripe);
+      removed += dropped;
+    }
+    entries_ -= removed;
+    return removed;
+  }
+
+  [[nodiscard]] std::uint64_t entry_count() const { return entries_; }
+
+ private:
+  using Due = std::pair<m::Round, m::StripeId>;
+  std::vector<std::vector<Entry>> per_stripe_;
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> calendar_;
+  m::Round window_;
+  std::uint64_t entries_ = 0;
+};
+
+using EntryKey = std::tuple<m::StripeId, m::BoxId, m::Round>;
+
+std::vector<EntryKey> keys(const std::vector<s::CacheIndex::Entry>& entries) {
+  std::vector<EntryKey> out;
+  for (const auto& e : entries) out.emplace_back(e.stripe, e.box, e.entry);
+  return out;
+}
+
+}  // namespace
+
+TEST(CacheIndex, MatchesVectorOfVectorsReferenceUnderRandomOps) {
+  // Seeded op sequences against the reference model: grants (relay-lagged
+  // future entries, entries already outside the window, repeated (stripe,
+  // box) pairs), a prune every round, and box removals (including boxes
+  // that never held an entry, and boxes granted again after removal).
+  // Every answer must match: collect_servers in the same order, expired
+  // reports, affected lists, removed counts and entry_count.
+  constexpr std::uint32_t kStripes = 61;
+  constexpr m::BoxId kGrantedBoxes = 32;  // boxes 32..39 never hold entries
+  constexpr m::BoxId kBoxes = 40;
+  constexpr m::Round kWindow = 30;
+  constexpr std::uint64_t kCompactFloor = 4096;
+  for (const std::uint64_t seed : {0xCAC4Eull, 0x5EEDull}) {
+    SCOPED_TRACE(seed);
+    p2pvod::util::Rng rng(seed);
+    s::CacheIndex cache(kStripes, kWindow);
+    ReferenceCache reference(kStripes, kWindow);
+    std::uint64_t peak = 0;
+
+    const auto compare_stripe = [&](m::StripeId stripe, m::Round now) {
+      for (const m::Round issue : {now - kWindow, now - 1, now, now + 3}) {
+        for (const m::BoxId exclude :
+             {m::kInvalidBox, static_cast<m::BoxId>(stripe % kGrantedBoxes)}) {
+          std::vector<m::BoxId> got;
+          const std::size_t appended =
+              cache.collect_servers(stripe, issue, now, exclude, got);
+          EXPECT_EQ(appended, got.size());
+          ASSERT_EQ(got, reference.servers(stripe, issue, now, exclude))
+              << "stripe " << stripe << " issue " << issue << " now " << now;
+        }
+      }
+    };
+
+    m::StripeId last_stripe = 0;
+    m::BoxId last_box = 0;
+    for (m::Round now = 0; now < 160; ++now) {
+      // Build up past the compaction floor, then taper off to nothing.
+      const std::uint64_t ops = now < 60 ? 300 : (now < 100 ? 40 : 0);
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        if (rng.next_below(400) == 0) {
+          const auto box = static_cast<m::BoxId>(rng.next_below(kBoxes));
+          std::vector<m::StripeId> got;
+          std::vector<m::StripeId> want;
+          ASSERT_EQ(cache.remove_box(box, &got),
+                    reference.remove_box(box, want));
+          ASSERT_EQ(got, want) << "box " << box;
+          for (const m::StripeId stripe : want) compare_stripe(stripe, now);
+        } else {
+          const bool repeat = rng.next_below(8) == 0;
+          const m::StripeId stripe =
+              repeat ? last_stripe
+                     : static_cast<m::StripeId>(rng.next_below(kStripes));
+          const m::BoxId box =
+              repeat ? last_box
+                     : static_cast<m::BoxId>(rng.next_below(kGrantedBoxes));
+          // Mostly now-1..now+3 (relay lag); now and then already expired.
+          const m::Round entry =
+              rng.next_below(20) == 0
+                  ? now - kWindow - 1
+                  : now - 1 + static_cast<m::Round>(rng.next_below(5));
+          cache.grant(stripe, box, entry);
+          reference.grant(stripe, box, entry);
+          last_stripe = stripe;
+          last_box = box;
+          compare_stripe(stripe, now);
+        }
+        ASSERT_EQ(cache.entry_count(), reference.entry_count());
+        peak = std::max(peak, cache.entry_count());
+      }
+
+      std::vector<s::CacheIndex::Entry> got;
+      std::vector<s::CacheIndex::Entry> want;
+      cache.prune(now, &got);
+      reference.prune(now, want);
+      ASSERT_EQ(keys(got), keys(want)) << "prune at " << now;
+      ASSERT_EQ(cache.entry_count(), reference.entry_count());
+      for (m::StripeId stripe = 0; stripe < kStripes; ++stripe)
+        compare_stripe(stripe, now);
+      ASSERT_NO_THROW(cache.check_invariants()) << "after prune at " << now;
+    }
+    // The arena grew past the floor with the entries and, with every entry
+    // gone, check_invariants() holds it to the floor: it compacted.
+    EXPECT_GT(peak, kCompactFloor);
+    EXPECT_EQ(cache.entry_count(), 0u);
+  }
 }
 
 // ----------------------------------------------------------------- fixtures

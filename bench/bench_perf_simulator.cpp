@@ -2,7 +2,9 @@
 //
 // Measures full simulated rounds per second under a steady Zipf audience on
 // the dense (carry repair) and sparse (persistent CSR repair) round paths,
-// scaling n, and the cost of one box failure and recovery (BM_BoxOffline).
+// scaling n, the cost of one box failure and recovery (BM_BoxOffline), the
+// permutation allocation's build (BM_PermutationAllocate) and one Zipf draw
+// (BM_ZipfSample).
 // BM_IncrementalRepair in bench_perf_flow measures the repair against a
 // from-scratch solve.
 #include <benchmark/benchmark.h>
@@ -160,8 +162,17 @@ void BM_PermutationAllocate(benchmark::State& state) {
             .max_slot_usage());
   }
 }
-BENCHMARK(BM_PermutationAllocate)->Arg(256)->Arg(1024)
+BENCHMARK(BM_PermutationAllocate)->Arg(256)->Arg(1024)->Arg(1 << 16)
     ->Unit(benchmark::kMicrosecond);
+
+/// One Zipf draw over the 666k-video catalog of the 10^6-box rung.
+void BM_ZipfSample(benchmark::State& state) {
+  const workload::ZipfSampler sampler(
+      static_cast<std::uint32_t>(state.range(0)), 0.6);
+  util::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(sampler.sample(rng));
+}
+BENCHMARK(BM_ZipfSample)->Arg(666666);
 
 }  // namespace
 

@@ -5,65 +5,72 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace p2pvod::alloc {
 
 Allocation::Allocation(std::uint32_t box_count, std::uint32_t stripe_count,
                        std::vector<Placement> placements)
     : box_count_(box_count), stripe_count_(stripe_count) {
+  OBS_SPAN("alloc/build");
+  // Count replicas per box (slot usage) and per stripe; holder_offsets_[s + 1]
+  // holds stripe s's count until the prefix sum below.
   slot_usage_.assign(box_count_, 0);
+  holder_offsets_.assign(stripe_count_ + 1, 0);
   for (const Placement& p : placements) {
     if (p.box >= box_count_)
       throw std::out_of_range("Allocation: box id out of range");
     if (p.stripe >= stripe_count_)
       throw std::out_of_range("Allocation: stripe id out of range");
     ++slot_usage_[p.box];
-  }
-
-  // Sort by (stripe, box) to build the holders CSR with deduplication.
-  std::sort(placements.begin(), placements.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.stripe != b.stripe ? a.stripe < b.stripe
-                                          : a.box < b.box;
-            });
-  holder_offsets_.assign(stripe_count_ + 1, 0);
-  holder_data_.reserve(placements.size());
-  {
-    model::StripeId prev_stripe = model::kInvalidStripe;
-    model::BoxId prev_box = model::kInvalidBox;
-    for (const Placement& p : placements) {
-      if (p.stripe == prev_stripe && p.box == prev_box) {
-        ++duplicates_;
-        continue;
-      }
-      holder_data_.push_back(p.box);
-      ++holder_offsets_[p.stripe + 1];
-      prev_stripe = p.stripe;
-      prev_box = p.box;
-    }
+    ++holder_offsets_[p.stripe + 1];
   }
   std::partial_sum(holder_offsets_.begin(), holder_offsets_.end(),
                    holder_offsets_.begin());
 
-  // Second direction: (box, stripe), deduplicated identically.
-  std::sort(placements.begin(), placements.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.box != b.box ? a.box < b.box : a.stripe < b.stripe;
-            });
+  // Stable counting sort by stripe. holder_offsets_[s] serves as stripe s's
+  // write cursor and ends at the start of stripe s + 1 (the last one at the
+  // total, equal to the final entry); shift_back restores the starts.
+  const auto shift_back = [](std::vector<std::uint32_t>& offsets) {
+    std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+    offsets.front() = 0;
+  };
+  holder_data_.resize(placements.size());
+  for (const Placement& p : placements)
+    holder_data_[holder_offsets_[p.stripe]++] = p.box;
+  std::vector<Placement>().swap(placements);
+  shift_back(holder_offsets_);
+
+  // Sort and deduplicate each stripe's (short) holder list in place,
+  // compacting the CSR; count each box's distinct stripes on the way.
   stored_offsets_.assign(box_count_ + 1, 0);
-  stored_data_.reserve(holder_data_.size());
-  {
-    model::StripeId prev_stripe = model::kInvalidStripe;
-    model::BoxId prev_box = model::kInvalidBox;
-    for (const Placement& p : placements) {
-      if (p.stripe == prev_stripe && p.box == prev_box) continue;
-      stored_data_.push_back(p.stripe);
-      ++stored_offsets_[p.box + 1];
-      prev_stripe = p.stripe;
-      prev_box = p.box;
+  std::uint32_t write = 0;
+  for (model::StripeId s = 0; s < stripe_count_; ++s) {
+    const auto first = holder_data_.begin() + holder_offsets_[s];
+    const auto last = holder_data_.begin() + holder_offsets_[s + 1];
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    duplicates_ += static_cast<std::uint64_t>(last - unique_end);
+    holder_offsets_[s] = write;
+    for (auto it = first; it != unique_end; ++it) {
+      ++stored_offsets_[*it + 1];
+      holder_data_[write++] = *it;
     }
   }
+  holder_offsets_[stripe_count_] = write;
+  holder_data_.resize(write);
   std::partial_sum(stored_offsets_.begin(), stored_offsets_.end(),
                    stored_offsets_.begin());
+
+  // Second direction: a counting sort by box, walking stripes in ascending
+  // order, leaves every box's stripe list ascending (and unique, since each
+  // holder list is).
+  stored_data_.resize(write);
+  for (model::StripeId s = 0; s < stripe_count_; ++s) {
+    for (std::uint32_t i = holder_offsets_[s]; i < holder_offsets_[s + 1]; ++i)
+      stored_data_[stored_offsets_[holder_data_[i]]++] = s;
+  }
+  shift_back(stored_offsets_);
 }
 
 std::span<const model::BoxId> Allocation::holders(model::StripeId s) const {

@@ -7,6 +7,14 @@
 //   stripe -> holder boxes (sorted, deduplicated)
 // plus raw slot-usage counts for load-balance experiments (duplicates of the
 // same stripe in one box occupy slots but add no serving power).
+//
+// Building costs O(N + boxes + stripes + Σ_s h_s log h_s) for N placements
+// and h_s placements of stripe s: a counting sort by stripe, an in-place sort
+// and dedup of each (short) holder list, and a counting sort by box that walks
+// the stripes in order. Apart from the placement list it consumes, it needs
+// no buffer beyond the two CSRs and the slot counts. Every accessor's output
+// is byte-identical to sorting all placements by (stripe, box) and by
+// (box, stripe) and dropping repeats.
 #pragma once
 
 #include <cstdint>

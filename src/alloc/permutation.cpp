@@ -1,5 +1,6 @@
 #include "alloc/permutation.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace p2pvod::alloc {
@@ -16,6 +17,11 @@ Allocation PermutationAllocator::allocate(const model::Catalog& catalog,
   if (replicas > slots) {
     throw std::invalid_argument(
         "PermutationAllocator: k*m*c replicas exceed d*n*c slots");
+  }
+  // Slots are indexed by a uint32 permutation; refuse before allocating.
+  if (slots > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "PermutationAllocator: total storage slots exceed UINT32_MAX");
   }
 
   // Global slot array: slot -> owning box.

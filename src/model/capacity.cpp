@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,8 @@ CapacityProfile::CapacityProfile(std::vector<double> upload,
         "CapacityProfile: upload/storage size mismatch");
   }
   for (std::size_t b = 0; b < upload_.size(); ++b) {
+    if (!std::isfinite(upload_[b]) || !std::isfinite(storage_[b]))
+      throw std::invalid_argument("CapacityProfile: non-finite capacity");
     if (upload_[b] < 0.0)
       throw std::invalid_argument("CapacityProfile: negative upload");
     if (storage_[b] < 0.0)
@@ -100,14 +103,25 @@ double CapacityProfile::min_upload() const noexcept {
   return *std::min_element(upload_.begin(), upload_.end());
 }
 
-std::uint32_t CapacityProfile::upload_slots(BoxId b, std::uint32_t c) const {
-  const double slots = std::floor(upload_.at(b) * c + 1e-9);
+namespace {
+
+/// A rounded, non-negative slot count as uint32; throws when it does not fit.
+std::uint32_t to_slots(double slots, const char* what) {
+  if (slots > static_cast<double>(std::numeric_limits<std::uint32_t>::max()))
+    throw std::out_of_range(what);
   return slots <= 0.0 ? 0u : static_cast<std::uint32_t>(slots);
 }
 
+}  // namespace
+
+std::uint32_t CapacityProfile::upload_slots(BoxId b, std::uint32_t c) const {
+  return to_slots(std::floor(upload_.at(b) * c + 1e-9),
+                  "CapacityProfile::upload_slots: count exceeds uint32");
+}
+
 std::uint32_t CapacityProfile::storage_slots(BoxId b, std::uint32_t c) const {
-  const long long slots = std::llround(storage_.at(b) * c);
-  return slots <= 0 ? 0u : static_cast<std::uint32_t>(slots);
+  return to_slots(std::round(storage_.at(b) * c),
+                  "CapacityProfile::storage_slots: count exceeds uint32");
 }
 
 std::uint64_t CapacityProfile::total_storage_slots(std::uint32_t c) const {

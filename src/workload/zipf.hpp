@@ -6,18 +6,29 @@
 // the examples and the E2 success-probability experiment's background traffic.
 #pragma once
 
+#include <span>
+
 #include "util/rng.hpp"
 #include "workload/demand.hpp"
 
 namespace p2pvod::workload {
 
 /// Discrete Zipf sampler over {0, ..., size-1} with exponent alpha >= 0
-/// (alpha = 0 is uniform). Inverse-CDF over precomputed cumulative weights.
+/// (alpha = 0 is uniform). Inverse-CDF over precomputed cumulative weights,
+/// searched from a Chen–Asau guide table (one start rank per 1/size of
+/// [0, 1)), so a draw costs O(1) expected steps.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint32_t size, double alpha);
 
   [[nodiscard]] std::uint32_t sample(util::Rng& rng) const;
+  /// The inverse CDF at u in [0, 1): the first rank whose cumulative weight
+  /// is >= u, or the last rank when none is (what sample returns for u).
+  [[nodiscard]] std::uint32_t index_of(double u) const;
+  /// Cumulative weights, non-decreasing; the last is 1.
+  [[nodiscard]] std::span<const double> cdf() const noexcept {
+    return cumulative_;
+  }
   [[nodiscard]] double probability(std::uint32_t rank) const;
   [[nodiscard]] std::uint32_t size() const noexcept {
     return static_cast<std::uint32_t>(cumulative_.size());
@@ -25,6 +36,7 @@ class ZipfSampler {
 
  private:
   std::vector<double> cumulative_;
+  std::vector<std::uint32_t> guide_;
 };
 
 class ZipfDemand final : public DemandGenerator {

@@ -3,7 +3,11 @@
 // full-replication baselines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "alloc/allocation.hpp"
 #include "alloc/allocator.hpp"
@@ -11,6 +15,7 @@
 #include "alloc/independent.hpp"
 #include "alloc/permutation.hpp"
 #include "alloc/round_robin.hpp"
+#include "net/topology.hpp"
 #include "util/rng.hpp"
 
 namespace a = p2pvod::alloc;
@@ -63,6 +68,189 @@ TEST(Allocation, VideoDataQuery) {
   EXPECT_FALSE(alloc.box_has_video_data(0, catalog, 0));
   EXPECT_FALSE(alloc.box_has_video_data(0, catalog, 2));
   EXPECT_TRUE(alloc.box_has_video_data(1, catalog, 2));
+}
+
+// ------------------------------------------------- differential: constructor
+
+namespace {
+
+/// The constructor as it was first written, kept as the reference the
+/// counting-sort build must match byte for byte: sort every placement by
+/// (stripe, box) and by (box, stripe), then drop repeats.
+struct ReferenceAllocation {
+  std::vector<std::vector<m::BoxId>> holders;
+  std::vector<std::vector<m::StripeId>> stored;
+  std::vector<std::uint32_t> slot_usage;
+  std::uint64_t duplicates = 0;
+
+  ReferenceAllocation(std::uint32_t boxes, std::uint32_t stripes,
+                      std::vector<a::Allocation::Placement> placements)
+      : holders(stripes), stored(boxes), slot_usage(boxes, 0) {
+    for (const auto& p : placements) ++slot_usage.at(p.box);
+    std::sort(placements.begin(), placements.end(),
+              [](const auto& x, const auto& y) {
+                return x.stripe != y.stripe ? x.stripe < y.stripe
+                                            : x.box < y.box;
+              });
+    for (std::size_t i = 0; i < placements.size(); ++i) {
+      const auto& p = placements[i];
+      if (i > 0 && placements[i - 1].stripe == p.stripe &&
+          placements[i - 1].box == p.box) {
+        ++duplicates;
+        continue;
+      }
+      holders.at(p.stripe).push_back(p.box);
+    }
+    std::sort(placements.begin(), placements.end(),
+              [](const auto& x, const auto& y) {
+                return x.box != y.box ? x.box < y.box : x.stripe < y.stripe;
+              });
+    for (std::size_t i = 0; i < placements.size(); ++i) {
+      const auto& p = placements[i];
+      if (i > 0 && placements[i - 1].stripe == p.stripe &&
+          placements[i - 1].box == p.box)
+        continue;
+      stored.at(p.box).push_back(p.stripe);
+    }
+  }
+};
+
+void expect_matches(const a::Allocation& alloc,
+                    const ReferenceAllocation& ref, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(alloc.stripe_count(), ref.holders.size());
+  ASSERT_EQ(alloc.box_count(), ref.stored.size());
+  std::uint32_t min_repl = ref.holders.empty() ? 0 : UINT32_MAX;
+  std::uint32_t max_repl = 0;
+  for (m::StripeId s = 0; s < alloc.stripe_count(); ++s) {
+    const auto got = alloc.holders(s);
+    ASSERT_EQ(std::vector<m::BoxId>(got.begin(), got.end()), ref.holders[s])
+        << "holders of stripe " << s;
+    const auto size = static_cast<std::uint32_t>(ref.holders[s].size());
+    min_repl = std::min(min_repl, size);
+    max_repl = std::max(max_repl, size);
+  }
+  std::uint32_t max_usage = 0;
+  double usage_sum = 0.0;
+  for (m::BoxId b = 0; b < alloc.box_count(); ++b) {
+    const auto got = alloc.stored(b);
+    ASSERT_EQ(std::vector<m::StripeId>(got.begin(), got.end()), ref.stored[b])
+        << "stored on box " << b;
+    ASSERT_EQ(alloc.slot_usage(b), ref.slot_usage[b]) << "box " << b;
+    max_usage = std::max(max_usage, ref.slot_usage[b]);
+    usage_sum += ref.slot_usage[b];
+  }
+  EXPECT_EQ(alloc.duplicate_replicas(), ref.duplicates);
+  EXPECT_EQ(alloc.min_replication(), min_repl);
+  EXPECT_EQ(alloc.max_replication(), max_repl);
+  EXPECT_EQ(alloc.max_slot_usage(), max_usage);
+  EXPECT_EQ(alloc.mean_slot_usage(),
+            ref.stored.empty() ? 0.0 : usage_sum / ref.stored.size());
+  alloc.check_integrity();
+}
+
+/// A placement list with the relation and slot usage of `alloc`: one
+/// placement per stored (box, stripe) plus, for each duplicate replica a box
+/// holds, a repeat of one of its stripes; shuffled.
+std::vector<a::Allocation::Placement> placements_of(const a::Allocation& alloc,
+                                                    p2pvod::util::Rng& rng) {
+  std::vector<a::Allocation::Placement> out;
+  for (m::BoxId b = 0; b < alloc.box_count(); ++b) {
+    const auto stored = alloc.stored(b);
+    for (const m::StripeId s : stored) out.push_back({b, s});
+    for (std::size_t extra = stored.size(); extra < alloc.slot_usage(b);
+         ++extra)
+      out.push_back({b, stored[extra % stored.size()]});
+  }
+  rng.shuffle(out);
+  return out;
+}
+
+}  // namespace
+
+TEST(AllocationDifferential, RandomPlacementListsMatchTheSortReference) {
+  p2pvod::util::Rng rng(0xA110C);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto boxes = static_cast<std::uint32_t>(rng.next_below(14));
+    const auto stripes = static_cast<std::uint32_t>(rng.next_below(24));
+    std::vector<a::Allocation::Placement> placements;
+    if (boxes > 0 && stripes > 0) {
+      // Draw from a subset of boxes and stripes, so that some stripes stay
+      // empty and some boxes hold nothing, and repeat earlier placements so
+      // that duplicates land both adjacent and far apart.
+      const auto live_boxes = 1 + rng.next_below(boxes);
+      const auto live_stripes = 1 + rng.next_below(stripes);
+      const auto count = rng.next_below(80);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        if (!placements.empty() && rng.next_bool(0.2)) {
+          placements.push_back(
+              placements[rng.next_below(placements.size())]);
+          continue;
+        }
+        placements.push_back(
+            {static_cast<m::BoxId>(rng.next_below(live_boxes) * boxes /
+                                   live_boxes),
+             static_cast<m::StripeId>(rng.next_below(live_stripes) *
+                                      stripes / live_stripes)});
+      }
+    }
+    const ReferenceAllocation ref(boxes, stripes, placements);
+    expect_matches(a::Allocation(boxes, stripes, placements), ref,
+                   "trial " + std::to_string(trial));
+  }
+}
+
+TEST(AllocationDifferential, EverySchemeMatchesTheSortReference) {
+  const m::Catalog catalog(6, 4, 12);
+  // Heterogeneous storage with zero-slot boxes (0 and 0.1 videos at c = 4),
+  // and a two-class mix that full replication can fill.
+  const m::CapacityProfile zero_slots(
+      std::vector<double>(12, 1.5),
+      {0.0, 3.0, 5.0, 0.1, 2.5, 6.0, 4.0, 0.0, 3.5, 5.0, 2.0, 4.0});
+  const auto two_class =
+      m::CapacityProfile::two_class(12, 4, 1.0, 2.0, 2.0, 4.0);
+  const auto topology = p2pvod::net::Topology::uniform(12, 3);
+  a::PlacementContext context;
+  context.topology = &topology;
+  context.demand = {6.0, 3.0, 2.0, 1.5, 1.2, 1.0};
+  std::uint64_t duplicates_seen = 0;
+  for (const auto scheme :
+       {a::Scheme::kPermutation, a::Scheme::kIndependent,
+        a::Scheme::kRoundRobin, a::Scheme::kFullReplication,
+        a::Scheme::kDemandProportional, a::Scheme::kZoneLocalFirst,
+        a::Scheme::kLpGreedy}) {
+    const auto allocator = a::make_allocator(scheme);
+    for (const auto* profile : {&zero_slots, &two_class}) {
+      for (const std::uint64_t seed : {7u, 0xBEEFu}) {
+        const std::string what =
+            std::string(a::scheme_name(scheme)) +
+            (profile == &zero_slots ? " zero-slot" : " two-class") +
+            " seed " + std::to_string(seed);
+        p2pvod::util::Rng rng(seed);
+        if (scheme == a::Scheme::kFullReplication && profile == &zero_slots) {
+          // Every box must hold the whole catalog; a zero-slot box cannot.
+          EXPECT_THROW(
+              (void)allocator->allocate(catalog, *profile, 2, rng, context),
+              std::invalid_argument);
+          continue;
+        }
+        const auto alloc =
+            allocator->allocate(catalog, *profile, 2, rng, context);
+        alloc.check_integrity(profile, catalog.stripes_per_video());
+        duplicates_seen += alloc.duplicate_replicas();
+        // Rebuild from a shuffled placement list with the same relation and
+        // slot usage: both constructors must reproduce the scheme's output.
+        const auto placements = placements_of(alloc, rng);
+        const ReferenceAllocation ref(alloc.box_count(), alloc.stripe_count(),
+                                      placements);
+        expect_matches(alloc, ref, what + " (scheme output)");
+        expect_matches(
+            a::Allocation(alloc.box_count(), alloc.stripe_count(), placements),
+            ref, what + " (rebuilt)");
+      }
+    }
+  }
+  EXPECT_GT(duplicates_seen, 0u);  // some scheme wastes a slot on a repeat
 }
 
 TEST(Allocation, IntegrityDetectsOverCapacity) {
@@ -123,6 +311,20 @@ TEST(Permutation, RejectsOverfull) {
   Fixture fx;
   EXPECT_THROW(
       a::PermutationAllocator().allocate(fx.catalog, fx.profile, 5, fx.rng),
+      std::invalid_argument);
+}
+
+TEST(Permutation, RejectsSlotTotalsBeyondUint32) {
+  // Two boxes of 2^31 + 2 and 2^31 + 3 slots: 2^32 + 5 in all, which a
+  // uint32 permutation cannot index. The check runs before the slot array
+  // (about 16 GB here) is reserved.
+  const m::Catalog catalog(2, 1, 8);
+  const m::CapacityProfile profile({1.0, 1.0},
+                                   {2147483650.0, 2147483651.0});
+  ASSERT_EQ(profile.total_storage_slots(1), (std::uint64_t{1} << 32) + 5);
+  p2pvod::util::Rng rng(1);
+  EXPECT_THROW(
+      (void)a::PermutationAllocator().allocate(catalog, profile, 1, rng),
       std::invalid_argument);
 }
 

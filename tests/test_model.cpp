@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
@@ -204,6 +205,29 @@ TEST(Capacity, RejectsMismatchedVectors) {
 
 TEST(Capacity, RejectsNegativeValues) {
   EXPECT_THROW(m::CapacityProfile({-1.0}, {1.0}), std::invalid_argument);
+}
+
+TEST(Capacity, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(m::CapacityProfile({nan}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(m::CapacityProfile({1.0}, {inf}), std::invalid_argument);
+  EXPECT_THROW(m::CapacityProfile({-inf}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(m::CapacityProfile::homogeneous(2, 1.0, nan),
+               std::invalid_argument);
+}
+
+TEST(Capacity, SlotCountsBeyondUint32Throw) {
+  // 5e9 storage slots at c = 1 used to wrap to 705032704.
+  const m::CapacityProfile prof({5e9, 1.0}, {5e9, 1.0});
+  EXPECT_THROW((void)prof.storage_slots(0, 1), std::out_of_range);
+  EXPECT_THROW((void)prof.upload_slots(0, 1), std::out_of_range);
+  EXPECT_THROW((void)prof.total_storage_slots(1), std::out_of_range);
+  EXPECT_EQ(prof.storage_slots(1, 1), 1u);
+  // The largest representable count still fits.
+  const m::CapacityProfile edge({4294967295.0}, {4294967295.0});
+  EXPECT_EQ(edge.storage_slots(0, 1), 4294967295u);
+  EXPECT_EQ(edge.upload_slots(0, 1), 4294967295u);
 }
 
 // ----------------------------------------------------------------- catalog

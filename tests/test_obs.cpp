@@ -14,6 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "alloc/permutation.hpp"
+#include "model/capacity.hpp"
+#include "model/catalog.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,6 +25,7 @@
 #include "scenario/scenario.hpp"
 #include "scenario/sink.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace obs = p2pvod::obs;
@@ -264,6 +268,22 @@ TEST(ObsTrace, DynamicSpanBuildsNameOnlyWhenActive) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "scenario/threshold");
   EXPECT_EQ(events[0].phase, 'X');
+}
+
+TEST(ObsTrace, TracedAllocationRecordsItsBuildSpan) {
+  const p2pvod::model::Catalog catalog(4, 2, 8);
+  const auto profile = p2pvod::model::CapacityProfile::homogeneous(6, 1.0, 4.0);
+  u::Rng rng(3);
+  obs::TraceSession::start();
+  const auto allocation =
+      p2pvod::alloc::PermutationAllocator().allocate(catalog, profile, 2, rng);
+  const auto events = obs::TraceSession::stop();
+  EXPECT_EQ(allocation.stripe_count(), 8u);
+  std::size_t builds = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name == "alloc/build" && event.phase == 'X') ++builds;
+  }
+  EXPECT_EQ(builds, 1u);
 }
 
 TEST(ObsTrace, RingOverwritesOldestAndCountsDrops) {

@@ -2,8 +2,12 @@
 // limiter's compounding-ceiling semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "alloc/permutation.hpp"
 #include "sim/simulator.hpp"
@@ -153,6 +157,59 @@ TEST(Zipf, SampleFrequenciesTrackProbabilities) {
   for (std::uint32_t r = 0; r < 5; ++r) {
     EXPECT_NEAR(counts[r] / static_cast<double>(kSamples),
                 sampler.probability(r), 0.02);
+  }
+}
+
+namespace {
+
+/// The sampler's contract, spelled as the plain binary search it replaces.
+std::uint32_t lower_bound_rank(const w::ZipfSampler& sampler, double u) {
+  const auto cdf = sampler.cdf();
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return static_cast<std::uint32_t>(std::min<std::ptrdiff_t>(
+      it - cdf.begin(), static_cast<std::ptrdiff_t>(cdf.size()) - 1));
+}
+
+}  // namespace
+
+TEST(Zipf, GuideTableMatchesLowerBoundOnRandomDraws) {
+  for (const auto& [size, alpha] :
+       std::vector<std::pair<std::uint32_t, double>>{
+           {1, 0.8}, {2, 1.0}, {7, 0.0}, {1000, 0.6}, {66666, 0.8},
+           {4096, 2.5}}) {
+    const w::ZipfSampler sampler(size, alpha);
+    p2pvod::util::Rng a(size), b(size);
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint32_t drawn = sampler.sample(a);
+      ASSERT_EQ(drawn, lower_bound_rank(sampler, b.next_double()))
+          << "size " << size << " alpha " << alpha << " draw " << i;
+    }
+  }
+}
+
+TEST(Zipf, GuideTableMatchesLowerBoundOnAdversarialPoints) {
+  for (const auto& [size, alpha] :
+       std::vector<std::pair<std::uint32_t, double>>{
+           {1, 0.8}, {3, 0.0}, {10, 0.0}, {97, 1.0}, {5000, 0.6},
+           {333, 3.0}}) {
+    const w::ZipfSampler sampler(size, alpha);
+    std::vector<double> points{0.0, 1.0, std::nextafter(1.0, 0.0),
+                               std::nextafter(0.0, 1.0)};
+    // Exact bucket edges and their neighbours.
+    for (std::uint32_t g = 0; g <= size; ++g) {
+      const double edge = static_cast<double>(g) / size;
+      points.insert(points.end(), {edge, std::nextafter(edge, 0.0),
+                                   std::nextafter(edge, 2.0)});
+    }
+    // Values equal to a cumulative weight, and just either side of one.
+    for (const double value : sampler.cdf()) {
+      points.insert(points.end(), {value, std::nextafter(value, 0.0),
+                                   std::nextafter(value, 2.0)});
+    }
+    for (const double u : points) {
+      ASSERT_EQ(sampler.index_of(u), lower_bound_rank(sampler, u))
+          << "size " << size << " alpha " << alpha << " u " << u;
+    }
   }
 }
 

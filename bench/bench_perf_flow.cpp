@@ -7,13 +7,15 @@
 //   * capacity-aware Hopcroft–Karp, the tests' independent oracle,
 //   * CsrMatcher::repair re-deriving a dense round from the previous
 //     round's assignment,
-//   * the sparse CSR path: row patches, row rebuilds, CsrMatcher::augment.
+//   * the sparse CSR path: row patches, row rebuilds, CsrMatcher::augment,
+//   * MinCostMatcher on a zone-aware round (the E14/E15/E17 inner loop).
 #include <benchmark/benchmark.h>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
 #include "flow/csr_problem.hpp"
 #include "flow/hopcroft_karp.hpp"
+#include "flow/min_cost.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -184,6 +186,28 @@ void BM_InfeasibilityWitness(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InfeasibilityWitness)->Arg(64)->Arg(256);
+
+// --- cost-aware dense path (zone topologies) --------------------------------
+
+// One zone_mincost-shaped round: 192 boxes of capacity 6 in 12 round-robin
+// zones, ~550 live requests with ~17 candidates each, cost 0 from a box in
+// the requester's zone and 1 from any other.
+void BM_MinCostZoneRound(benchmark::State& state) {
+  constexpr std::uint32_t kZones = 12;
+  const auto problem = make_problem(192, 550, 6, 17, 42);
+  flow::EdgeCosts costs(problem.request_count());
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r) {
+    for (const std::uint32_t b : problem.candidates(r))
+      costs[r].push_back(b % kZones == r % kZones ? 0 : 1);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        flow::MinCostMatcher::solve(problem, costs).total_cost);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          problem.request_count());
+}
+BENCHMARK(BM_MinCostZoneRound);
 
 }  // namespace
 

@@ -1,12 +1,14 @@
 #include "flow/min_cost.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "flow/graph.hpp"
+#include "flow/verify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -15,6 +17,10 @@ namespace p2pvod::flow {
 namespace {
 
 constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 4;
+// The header's overflow argument: below 2^32 requests, every Dijkstra sum
+// is under (8 * 2^32 + 1) * kMaxEdgeCost.
+static_assert(kMaxEdgeCost <= kInfCost / ((Cost{8} << 32) + 1),
+              "kMaxEdgeCost lets a path sum reach kInfCost");
 
 // Solver work counters. All kStable: the algorithm is sequential and
 // deterministic per instance, and the multiset of instances solved is
@@ -22,6 +28,11 @@ constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 4;
 obs::Counter& solves_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::global().counter("flow/min_cost_solves");
+  return counter;
+}
+obs::Counter& phases_counter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::global().counter("flow/min_cost_phases");
   return counter;
 }
 obs::Counter& augmentations_counter() {
@@ -51,6 +62,9 @@ void validate(const ConnectionProblem& problem, const EdgeCosts& costs) {
     for (const Cost c : costs[r]) {
       if (c < 0)
         throw std::invalid_argument("MinCostMatcher: negative edge cost");
+      if (c > kMaxEdgeCost)
+        throw std::invalid_argument(
+            "MinCostMatcher: edge cost above kMaxEdgeCost");
     }
   }
 }
@@ -72,6 +86,149 @@ void validate_groups(const ConnectionProblem& problem,
     }
   }
 }
+
+// The primal-dual loop over one residual network. Potentials start at 0
+// (feasible: every original cost is non-negative) and only grow by Dijkstra
+// distances, so every residual edge out of a reachable node keeps a
+// non-negative reduced cost; augmenting only along zero-reduced-cost
+// (admissible) edges keeps the flow min-cost for its value and gives each
+// new reverse edge reduced cost 0 as well.
+class PrimalDual {
+ public:
+  PrimalDual(FlowNetwork& network, const std::vector<Cost>& edge_cost,
+             NodeId source, NodeId sink)
+      : network_(network),
+        edge_cost_(edge_cost),
+        source_(source),
+        sink_(sink),
+        potential_(network.node_count(), 0),
+        dist_(network.node_count()),
+        level_(network.node_count()),
+        next_arc_(network.node_count()) {}
+
+  /// One Dijkstra on reduced costs; adds each reachable node's distance to
+  /// its potential. False when the sink is unreachable (flow is maximum).
+  bool reprice() {
+    phases_counter().add();
+    dist_.assign(dist_.size(), kInfCost);
+    dist_[source_] = 0;
+    heap_.assign(1, {0, source_});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const auto [d, v] = heap_.back();
+      heap_.pop_back();
+      if (d > dist_[v]) continue;  // stale entry
+      for (const EdgeId e : network_.adjacency(v)) {
+        if (network_.residual(e) <= 0) continue;
+        const NodeId to = network_.edge_to(e);
+        const Cost candidate = d + reduced_cost(v, e);
+        if (candidate < dist_[to]) {
+          dist_[to] = candidate;
+          heap_.emplace_back(candidate, to);
+          std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        }
+      }
+    }
+    if (dist_[sink_] >= kInfCost) return false;
+
+    std::uint64_t updated = 0;
+    for (NodeId v = 0; v < potential_.size(); ++v) {
+      if (dist_[v] < kInfCost) {
+        potential_[v] += dist_[v];
+        ++updated;
+      }
+    }
+    potential_updates_counter().add(updated);
+    return true;
+  }
+
+  /// BFS levels over the admissible subgraph; true when the sink is reached.
+  bool build_levels() {
+    level_.assign(level_.size(), -1);
+    level_[source_] = 0;
+    bfs_.assign(1, source_);
+    for (std::size_t head = 0; head < bfs_.size(); ++head) {
+      const NodeId v = bfs_[head];
+      for (const EdgeId e : network_.adjacency(v)) {
+        const NodeId to = network_.edge_to(e);
+        if (level_[to] < 0 && admissible(v, e)) {
+          level_[to] = level_[v] + 1;
+          bfs_.push_back(to);
+        }
+      }
+    }
+    return level_[sink_] >= 0;
+  }
+
+  /// Augment along admissible level-graph paths until none is left. The
+  /// DFS keeps its path on an explicit edge stack (augmenting paths can be
+  /// as long as the network) and advances per-node current arcs, so each
+  /// edge is skipped at most once per call.
+  void blocking_flow() {
+    next_arc_.assign(next_arc_.size(), 0);
+    path_.clear();
+    NodeId v = source_;
+    for (;;) {
+      if (v == sink_) {
+        augment();
+        path_.clear();
+        v = source_;
+        continue;
+      }
+      const auto& edges = network_.adjacency(v);
+      std::size_t& arc = next_arc_[v];
+      while (arc < edges.size() && !next_level(v, edges[arc])) ++arc;
+      if (arc < edges.size()) {
+        path_.push_back(edges[arc]);
+        v = network_.edge_to(edges[arc]);
+        continue;
+      }
+      level_[v] = -1;  // dead end; prune for the rest of this call
+      if (path_.empty()) return;
+      const EdgeId back = path_.back();
+      path_.pop_back();
+      v = network_.edge_to(back ^ 1u);
+      ++next_arc_[v];
+    }
+  }
+
+ private:
+  Cost reduced_cost(NodeId from, EdgeId e) const {
+    return edge_cost_[e] + potential_[from] -
+           potential_[network_.edge_to(e)];
+  }
+  bool admissible(NodeId from, EdgeId e) const {
+    return network_.residual(e) > 0 && reduced_cost(from, e) == 0;
+  }
+  /// An admissible edge one BFS level down: an arc of the level graph.
+  bool next_level(NodeId from, EdgeId e) const {
+    return level_[network_.edge_to(e)] == level_[from] + 1 &&
+           admissible(from, e);
+  }
+
+  /// Push the bottleneck along path_ (always 1 in the matching network:
+  /// every path ends on a unit request->sink edge).
+  void augment() {
+    Capacity bottleneck = kInfCapacity;
+    for (const EdgeId e : path_)
+      bottleneck = std::min(bottleneck, network_.residual(e));
+    for (const EdgeId e : path_) network_.push(e, bottleneck);
+    augmentations_counter().add();
+    path_length_histogram().observe(path_.size());
+  }
+
+  FlowNetwork& network_;
+  const std::vector<Cost>& edge_cost_;
+  NodeId source_;
+  NodeId sink_;
+  std::vector<Cost> potential_;
+  std::vector<Cost> dist_;
+  std::vector<std::int64_t> level_;
+  std::vector<std::size_t> next_arc_;
+  std::vector<EdgeId> path_;
+  std::vector<NodeId> bfs_;
+  std::vector<std::pair<Cost, NodeId>> heap_;
+};
 
 bool all_zero(const EdgeCosts& costs) {
   for (const auto& row : costs) {
@@ -129,66 +286,9 @@ MinCostResult MinCostMatcher::solve(const ConnectionProblem& problem,
     add_edge(boxes + r, sink, 1, 0);
   }
 
-  // Successive shortest paths with Johnson potentials. All original costs
-  // are non-negative, so the initial zero potentials are feasible and every
-  // reduced cost stays non-negative across augmentations.
-  const NodeId nodes = network.node_count();
-  std::vector<Cost> potential(nodes, 0);
-  std::vector<Cost> dist(nodes);
-  std::vector<EdgeId> parent_edge(nodes);
-  std::vector<bool> settled(nodes);
-
-  for (;;) {
-    dist.assign(nodes, kInfCost);
-    settled.assign(nodes, false);
-    dist[source] = 0;
-    using Entry = std::pair<Cost, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    queue.push({0, source});
-    while (!queue.empty()) {
-      const auto [d, v] = queue.top();
-      queue.pop();
-      if (settled[v]) continue;
-      settled[v] = true;
-      for (const EdgeId e : network.adjacency(v)) {
-        if (network.residual(e) <= 0) continue;
-        const NodeId to = network.edge_to(e);
-        const Cost reduced = edge_cost[e] + potential[v] - potential[to];
-        if (dist[v] + reduced < dist[to]) {
-          dist[to] = dist[v] + reduced;
-          parent_edge[to] = e;
-          queue.push({dist[to], to});
-        }
-      }
-    }
-    if (dist[sink] >= kInfCost) break;  // no augmenting path left
-    augmentations_counter().add();
-
-    std::uint64_t updated = 0;
-    for (NodeId v = 0; v < nodes; ++v) {
-      if (dist[v] < kInfCost) {
-        potential[v] += dist[v];
-        ++updated;
-      }
-    }
-    potential_updates_counter().add(updated);
-
-    // Bottleneck is 1 (every path crosses a unit request->sink edge), but
-    // compute it anyway so the loop stays correct if the reduction changes.
-    Capacity bottleneck = kInfCapacity;
-    std::uint64_t path_edges = 0;
-    for (NodeId v = sink; v != source;) {
-      const EdgeId e = parent_edge[v];
-      bottleneck = std::min(bottleneck, network.residual(e));
-      v = network.edge_to(e ^ 1u);
-      ++path_edges;
-    }
-    path_length_histogram().observe(path_edges);
-    for (NodeId v = sink; v != source;) {
-      const EdgeId e = parent_edge[v];
-      network.push(e, bottleneck);
-      v = network.edge_to(e ^ 1u);
-    }
+  PrimalDual solver(network, edge_cost, source, sink);
+  while (solver.reprice()) {
+    while (solver.build_levels()) solver.blocking_flow();
   }
 
   MinCostResult result;
@@ -206,6 +306,84 @@ MinCostResult MinCostMatcher::solve(const ConnectionProblem& problem,
   }
   result.match.complete = (result.match.served == requests);
   return result;
+}
+
+void validate_min_cost(const ConnectionProblem& problem,
+                       const EdgeCosts& costs, const MinCostResult& result) {
+  validate(problem, costs);
+  validate_assignment(problem, result.match);
+  const auto fail = [](const std::string& detail) {
+    throw std::logic_error("validate_min_cost: " + detail);
+  };
+
+  // The assignment's residual network, numbered as in the solver: boxes,
+  // requests, source, sink. Each arc is a residual edge with spare capacity.
+  struct Arc {
+    NodeId from;
+    NodeId to;
+    Cost cost;
+  };
+  const std::uint32_t boxes = problem.box_count();
+  const std::uint32_t requests = problem.request_count();
+  const NodeId source = boxes + requests;
+  const NodeId sink = source + 1;
+  std::vector<Arc> arcs;
+  const std::vector<std::uint32_t> degree =
+      result.match.box_degrees(boxes);
+  for (std::uint32_t b = 0; b < boxes; ++b) {
+    if (degree[b] < problem.capacity(b)) arcs.push_back({source, b, 0});
+    if (degree[b] > 0) arcs.push_back({b, source, 0});
+  }
+  Cost total = 0;
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    const auto& candidates = problem.candidates(r);
+    const std::int32_t assigned = result.match.assignment[r];
+    std::size_t used = candidates.size();  // the candidate entry serving r
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      if (static_cast<std::int32_t>(candidates[j]) == assigned &&
+          (used == candidates.size() || costs[r][j] < costs[r][used]))
+        used = j;
+    }
+    const NodeId node = boxes + r;
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      if (j == used) {
+        arcs.push_back({node, candidates[j], -costs[r][j]});
+      } else {
+        arcs.push_back({candidates[j], node, costs[r][j]});
+      }
+    }
+    if (used < candidates.size()) {
+      total += costs[r][used];
+      arcs.push_back({sink, node, 0});
+    } else {
+      arcs.push_back({node, sink, 0});
+    }
+  }
+  if (total != result.total_cost)
+    fail("total_cost " + std::to_string(result.total_cost) +
+         " but the assignment costs " + std::to_string(total));
+  const std::uint32_t maximum = problem.solve().served;
+  if (result.match.served != maximum)
+    fail("served " + std::to_string(result.match.served) +
+         " but the maximum matching serves " + std::to_string(maximum));
+
+  // Bellman-Ford from a virtual root at distance 0 to every node: distances
+  // settle within node-count passes unless a negative cycle keeps them
+  // falling.
+  const NodeId nodes = sink + 1;
+  std::vector<Cost> dist(nodes, 0);
+  for (NodeId pass = 0; pass <= nodes; ++pass) {
+    bool changed = false;
+    for (const Arc& arc : arcs) {
+      if (dist[arc.from] + arc.cost < dist[arc.to]) {
+        dist[arc.to] = dist[arc.from] + arc.cost;
+        changed = true;
+      }
+    }
+    if (!changed) return;
+  }
+  fail("the residual network has a negative-cost cycle: a cheaper maximum "
+       "matching exists");
 }
 
 MinCostResult min_cost_brute_force(const ConnectionProblem& problem,

@@ -4,13 +4,29 @@
 // The reduction extends the §2.3 feasibility network with per-edge costs
 // (source->box and request->sink edges cost 0, the candidate edge (b, r)
 // costs whatever the caller says — in the simulator, the zone-pair transit
-// cost between server and requester). Successive shortest paths with
-// Johnson potentials keeps every Dijkstra non-negative, so the solver is
-// exact: after k augmentations the flow is a minimum-cost flow of value k,
-// hence the final matching is maximum (same size as Dinic's) and of minimum
-// cost among maximum matchings. When every cost is zero the solver falls
-// back to the plain Dinic solve — the cost machinery must never change
-// feasibility answers.
+// cost between server and requester). The solver is the primal-dual method,
+// which does its work per distance level rather than per served chunk. Each
+// phase runs one Dijkstra on reduced costs (cost + p[from] - p[to]) and adds
+// the distances to the potentials p of the reachable nodes, then pushes a
+// maximum flow through the admissible subgraph — residual edges of reduced
+// cost exactly 0 — with Dinic-style BFS levels, current arcs and an
+// iterative DFS. The loop stops when Dijkstra no longer reaches the sink.
+//
+// Why it is exact: potentials start at 0 and every original cost is
+// non-negative, so they start feasible, and Dijkstra's update keeps every
+// residual reduced cost non-negative. A zero-reduced-cost path is a
+// shortest path, so each augmentation keeps the flow min-cost for its value,
+// and the reverse edges it opens have reduced cost 0, so the potentials stay
+// feasible. The flow is maximum when the sink is unreachable, so the final
+// matching has the same size as Dinic's and the minimum cost among maximum
+// matchings — the same `served` and `total_cost` as one Dijkstra per
+// augmenting path (successive shortest paths), the solver this replaced.
+// Which optimal matching comes back among ties differs from that solver;
+// enforce_group_caps, which runs after the solve, can see the difference.
+//
+// When every cost is zero the solver falls back to the plain Dinic solve —
+// the cost machinery must never change feasibility answers, and cost-blind
+// callers get Dinic's exact assignment.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +42,14 @@ using Cost = std::int64_t;
 /// from candidates(r)[j]. Shapes must match the problem exactly.
 using EdgeCosts = std::vector<std::vector<Cost>>;
 
+/// Largest accepted edge cost. A simple residual path crosses at most two
+/// candidate edges per request, so with fewer than 2^32 requests every
+/// potential stays within 2^33 * kMaxEdgeCost in magnitude and every
+/// Dijkstra sum below 2^35 * kMaxEdgeCost = 2^60, under the solver's
+/// "unreachable" distance (2^61 - 1): no sum can overflow or be mistaken for
+/// unreachable.
+inline constexpr Cost kMaxEdgeCost = Cost{1} << 25;
+
 struct MinCostResult {
   MatchResult match;
   Cost total_cost = 0;
@@ -33,13 +57,26 @@ struct MinCostResult {
 
 class MinCostMatcher {
  public:
-  /// Solve for a maximum matching of minimum total cost. All costs must be
-  /// non-negative; throws std::invalid_argument on a shape mismatch or a
-  /// negative cost. Deterministic for a given problem (no RNG, fixed
-  /// iteration order).
+  /// Solve for a maximum matching of minimum total cost. Every cost must lie
+  /// in [0, kMaxEdgeCost]; throws std::invalid_argument on a shape mismatch
+  /// or a cost out of range. Deterministic for a given problem (no RNG,
+  /// fixed iteration order).
   [[nodiscard]] static MinCostResult solve(const ConnectionProblem& problem,
                                            const EdgeCosts& costs);
 };
+
+/// Throws std::logic_error unless `result` is a maximum matching of minimum
+/// cost for `problem` under `costs`, checked without the solver's
+/// potentials:
+///   - validate_assignment passes and `total_cost` is the assignment's cost
+///     (an assigned box listed twice among the candidates counts at its
+///     cheapest entry);
+///   - `served` equals the Dinic solve's;
+///   - the residual network of the assignment has no negative-cost cycle
+///     (Bellman-Ford), so no rerouting of served chunks is cheaper.
+/// Throws std::invalid_argument when `costs` fails the solver's contract.
+void validate_min_cost(const ConnectionProblem& problem,
+                       const EdgeCosts& costs, const MinCostResult& result);
 
 /// Exponential reference: enumerate every assignment, keep the best
 /// (maximum served, then minimum cost). For the property tests cross-checking

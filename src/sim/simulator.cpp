@@ -388,7 +388,12 @@ flow::MatchResult Simulator::solve_zone_aware(
       costs[i].push_back(topology.cost(topology.zone_of(b), dest));
     }
   }
-  flow::MatchResult result = flow::MinCostMatcher::solve(problem, costs).match;
+  flow::MinCostResult solved = flow::MinCostMatcher::solve(problem, costs);
+  // Checked before link caps: admission control may legitimately drop
+  // connections the min-cost optimum keeps.
+  if (options_.verify_incremental)
+    flow::validate_min_cost(problem, costs, solved);
+  flow::MatchResult result = std::move(solved.match);
 
   if (topology.has_link_caps()) enforce_link_caps(problem, costs, result);
 

@@ -56,7 +56,9 @@ struct Demand {
 
 struct SimulatorOptions {
   /// Cross-check every round's matching against a from-scratch Dinic solve
-  /// and run check_invariants() after every step (tests; expensive).
+  /// (zone-aware rounds: flow::validate_min_cost, which adds the min-cost
+  /// optimality check) and run check_invariants() after every step (tests;
+  /// expensive).
   bool verify_incremental = false;
   /// Stop at the first unserved request (the paper's feasibility semantics).
   /// When false, stalls are counted and positions advance (continuity metric).
@@ -204,7 +206,8 @@ class Simulator {
   /// check_invariants() when checks are on.
   void record_stall_witness();
   /// Cost-aware matching for the round (options_.topology set): min-cost
-  /// solve, link-cap admission control, cross-zone accounting.
+  /// solve (checked by flow::validate_min_cost under verify_incremental),
+  /// link-cap admission control, cross-zone accounting.
   [[nodiscard]] flow::MatchResult solve_zone_aware(
       const flow::ConnectionProblem& problem);
   /// Link-cap enforcement: maps each candidate edge to its directed

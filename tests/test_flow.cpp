@@ -1,8 +1,13 @@
 // Unit tests for src/flow: Dinic max-flow, Hopcroft-Karp b-matching, the
 // connection-problem reduction, Hall checking, the dense repair entry of
-// CsrMatcher, and the min-cost matching engine (successive shortest paths
-// with potentials).
+// CsrMatcher, the min-cost matching engine (primal-dual phases) against the
+// successive-shortest-path loop it replaced, and validate_min_cost.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
@@ -11,6 +16,7 @@
 #include "flow/hall.hpp"
 #include "flow/hopcroft_karp.hpp"
 #include "flow/min_cost.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace f = p2pvod::flow;
@@ -544,7 +550,7 @@ TEST(MinCostMatcher, ZeroCostsDegradeToDinic) {
   }
 }
 
-// Acceptance property: on randomized small instances the SSP solver agrees
+// Acceptance property: on randomized small instances the solver agrees
 // with exhaustive enumeration on BOTH optimality criteria — matching size
 // first, total cost second.
 TEST(MinCostMatcher, AgreesWithBruteForceOnRandomInstances) {
@@ -607,6 +613,273 @@ TEST(MinCostBruteForce, RejectsHugeInstances) {
     costs.push_back({0, 0, 0, 0, 0, 0, 0, 0});
   }
   EXPECT_THROW((void)f::min_cost_brute_force(p, costs),
+               std::invalid_argument);
+}
+
+// ------------------------------------------- min-cost: reference and bounds
+
+namespace {
+
+/// The successive-shortest-path solver MinCostMatcher::solve used before the
+/// primal-dual phases: one Dijkstra over the whole residual network (Johnson
+/// potentials) per augmenting path. Kept as the differential reference.
+f::MinCostResult ssp_reference(const f::ConnectionProblem& problem,
+                               const f::EdgeCosts& costs) {
+  constexpr f::Cost kInf = std::numeric_limits<f::Cost>::max() / 4;
+  const std::uint32_t boxes = problem.box_count();
+  const std::uint32_t requests = problem.request_count();
+  f::FlowNetwork network(boxes + requests + 2);
+  const f::NodeId source = boxes + requests;
+  const f::NodeId sink = source + 1;
+  std::vector<f::Cost> edge_cost;
+  const auto add_edge = [&](f::NodeId from, f::NodeId to, f::Capacity cap,
+                            f::Cost cost) {
+    const f::EdgeId id = network.add_edge(from, to, cap);
+    edge_cost.resize(id + 2, 0);
+    edge_cost[id] = cost;
+    edge_cost[id + 1] = -cost;
+    return id;
+  };
+  for (std::uint32_t b = 0; b < boxes; ++b) {
+    if (problem.capacity(b) > 0) add_edge(source, b, problem.capacity(b), 0);
+  }
+  std::vector<std::vector<f::EdgeId>> request_box_edges(requests);
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    const auto& candidates = problem.candidates(r);
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      request_box_edges[r].push_back(
+          add_edge(candidates[j], boxes + r, 1, costs[r][j]));
+    }
+    add_edge(boxes + r, sink, 1, 0);
+  }
+
+  const f::NodeId nodes = network.node_count();
+  std::vector<f::Cost> potential(nodes, 0);
+  std::vector<f::Cost> dist(nodes);
+  std::vector<f::EdgeId> parent_edge(nodes);
+  std::vector<bool> settled(nodes);
+  for (;;) {
+    dist.assign(nodes, kInf);
+    settled.assign(nodes, false);
+    dist[source] = 0;
+    using Entry = std::pair<f::Cost, f::NodeId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    queue.push({0, source});
+    while (!queue.empty()) {
+      const auto [d, v] = queue.top();
+      queue.pop();
+      if (settled[v]) continue;
+      settled[v] = true;
+      for (const f::EdgeId e : network.adjacency(v)) {
+        if (network.residual(e) <= 0) continue;
+        const f::NodeId to = network.edge_to(e);
+        const f::Cost reduced = edge_cost[e] + potential[v] - potential[to];
+        if (dist[v] + reduced < dist[to]) {
+          dist[to] = dist[v] + reduced;
+          parent_edge[to] = e;
+          queue.push({dist[to], to});
+        }
+      }
+    }
+    if (dist[sink] >= kInf) break;
+    for (f::NodeId v = 0; v < nodes; ++v) {
+      if (dist[v] < kInf) potential[v] += dist[v];
+    }
+    for (f::NodeId v = sink; v != source;) {
+      const f::EdgeId e = parent_edge[v];
+      network.push(e, 1);
+      v = network.edge_to(e ^ 1u);
+    }
+  }
+
+  f::MinCostResult result;
+  result.match.assignment.assign(requests, -1);
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    const auto& candidates = problem.candidates(r);
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      if (network.flow_on(request_box_edges[r][j]) > 0) {
+        result.match.assignment[r] = static_cast<std::int32_t>(candidates[j]);
+        result.total_cost += costs[r][j];
+        ++result.match.served;
+        break;
+      }
+    }
+  }
+  result.match.complete = result.match.served == requests;
+  return result;
+}
+
+/// random_problem with the shapes the round loop can produce: zero-capacity
+/// boxes, empty candidate rows, demand beyond Σ capacity, and the odd box
+/// listed twice in a row (the duplicate gets its own cost).
+f::ConnectionProblem varied_problem(p2pvod::util::Rng& rng) {
+  const auto boxes = static_cast<std::uint32_t>(1 + rng.next_below(12));
+  const auto requests = static_cast<std::uint32_t>(rng.next_below(31));
+  const auto max_capacity = static_cast<std::uint32_t>(rng.next_below(4));
+  constexpr double kDensity[] = {0.05, 0.2, 0.4, 0.7};
+  const double density = kDensity[rng.next_below(4)];
+  f::ConnectionProblem problem(boxes);
+  for (std::uint32_t b = 0; b < boxes; ++b) {
+    problem.set_capacity(
+        b, static_cast<std::uint32_t>(rng.next_below(max_capacity + 1)));
+  }
+  for (std::uint32_t r = 0; r < requests; ++r) {
+    std::vector<std::uint32_t> cands;
+    for (std::uint32_t b = 0; b < boxes; ++b) {
+      if (rng.next_bool(density)) cands.push_back(b);
+    }
+    if (!cands.empty() && rng.next_bool(0.1)) cands.push_back(cands.front());
+    problem.add_request(std::move(cands));
+  }
+  return problem;
+}
+
+f::Cost phases_so_far() {
+  return static_cast<f::Cost>(p2pvod::obs::MetricsRegistry::global()
+                                  .counter("flow/min_cost_phases")
+                                  .value());
+}
+
+}  // namespace
+
+// The primal-dual solver and the successive-shortest-path loop it replaced
+// reach the same optimum (served count and total cost) on every instance,
+// and validate_min_cost accepts the result. Ties may resolve differently.
+TEST(MinCostMatcher, MatchesSuccessiveShortestPathsReference) {
+  p2pvod::util::Rng rng(0x5550);
+  int oversubscribed = 0;
+  int costed = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto problem = varied_problem(rng);
+    const auto costs = random_costs(rng, problem, trial % 2 == 0 ? 1 : 7);
+    const auto fast = f::MinCostMatcher::solve(problem, costs);
+    const auto reference = ssp_reference(problem, costs);
+    ASSERT_EQ(fast.match.served, reference.match.served) << "trial " << trial;
+    ASSERT_EQ(fast.total_cost, reference.total_cost) << "trial " << trial;
+    ASSERT_NO_THROW(f::validate_min_cost(problem, costs, fast))
+        << "trial " << trial;
+    std::uint64_t slots = 0;
+    for (const std::uint32_t c : problem.capacities()) slots += c;
+    if (problem.request_count() > slots) ++oversubscribed;
+    if (fast.total_cost > 0) ++costed;
+  }
+  // The generator must keep covering the hard shapes.
+  EXPECT_GT(oversubscribed, 100);
+  EXPECT_GT(costed, 200);
+}
+
+// Costs past kMaxEdgeCost could overflow a Dijkstra sum or reach the
+// "unreachable" distance and silently unserve a request: they are refused.
+TEST(MinCostMatcher, RejectsCostsAboveBound) {
+  f::ConnectionProblem p(1);
+  p.set_capacity(0, 1);
+  p.add_request({0});
+  constexpr f::Cost kMax = std::numeric_limits<f::Cost>::max();
+  EXPECT_THROW((void)f::MinCostMatcher::solve(p, {{kMax / 4}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)f::MinCostMatcher::solve(p, {{kMax}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)f::MinCostMatcher::solve(p, {{f::kMaxEdgeCost + 1}}),
+               std::invalid_argument);
+  const auto at_bound = f::MinCostMatcher::solve(p, {{f::kMaxEdgeCost}});
+  EXPECT_EQ(at_bound.match.served, 1u);
+  EXPECT_EQ(at_bound.total_cost, f::kMaxEdgeCost);
+}
+
+// Every cost at the bound on a chain whose last request reroutes all the
+// others: the deepest path sums stay exact.
+TEST(MinCostMatcher, ChainAtCostBoundSolvesExactly) {
+  constexpr std::uint32_t kN = 1000;
+  const auto problem = chain_problem(kN);
+  f::EdgeCosts costs(kN + 1, {f::kMaxEdgeCost, f::kMaxEdgeCost});
+  costs[kN] = {f::kMaxEdgeCost};
+  const auto result = f::MinCostMatcher::solve(problem, costs);
+  EXPECT_EQ(result.match.served, kN + 1);
+  EXPECT_EQ(result.total_cost,
+            static_cast<f::Cost>(kN + 1) * f::kMaxEdgeCost);
+  EXPECT_EQ(result.total_cost, ssp_reference(problem, costs).total_cost);
+  EXPECT_NO_THROW(f::validate_min_cost(problem, costs, result));
+}
+
+// Non-zero costs keep the Dinic fallback out: each r_i prefers box i
+// (cost 0) over box i+1 (cost 1), so the first phase seats r_0..r_{n-1} at
+// cost 0 and the second reroutes the whole chain for r_n — one admissible
+// path 2·10^5 edges deep, walked without recursion. Three Dijkstra passes
+// in all: distance 0, distance n, and the one that finds the sink cut off.
+TEST(MinCostMatcher, DeepChainDoesNotRecurse) {
+  constexpr std::uint32_t kN = 100'000;
+  const auto problem = chain_problem(kN);
+  f::EdgeCosts costs(kN + 1, {0, 1});
+  costs[kN] = {0};
+  const f::Cost phases_before = phases_so_far();
+  const auto result = f::MinCostMatcher::solve(problem, costs);
+  EXPECT_EQ(phases_so_far() - phases_before, 3);
+  EXPECT_TRUE(result.match.complete);
+  EXPECT_EQ(result.match.served, kN + 1);
+  EXPECT_EQ(result.total_cost, static_cast<f::Cost>(kN));
+  EXPECT_EQ(result.match.assignment[kN], 0);
+  EXPECT_EQ(result.match.assignment[0], 1);
+  EXPECT_EQ(result.match.assignment[kN - 1], static_cast<std::int32_t>(kN));
+}
+
+// ------------------------------------------------------- validate_min_cost
+
+// Request 0 moved onto the costlier box 1 while box 0 sits idle: a valid,
+// maximum assignment, but the residual cycle box0 -> r0 -> box1 -> source
+// -> box0 costs 3 - 5 < 0.
+TEST(ValidateMinCost, RejectsCostlierAssignment) {
+  f::ConnectionProblem p(2);
+  p.set_capacity(0, 1);
+  p.set_capacity(1, 1);
+  p.add_request({0, 1});
+  const f::EdgeCosts costs = {{3, 5}};
+  f::MinCostResult costly;
+  costly.match.assignment = {1};
+  costly.match.served = 1;
+  costly.match.complete = true;
+  costly.total_cost = 5;
+  EXPECT_THROW(f::validate_min_cost(p, costs, costly), std::logic_error);
+
+  // Serving the cheaper of two requests competing for one slot is the
+  // optimum; serving the costlier one is caught through the sink.
+  f::ConnectionProblem q(1);
+  q.set_capacity(0, 1);
+  q.add_request({0});
+  q.add_request({0});
+  const f::EdgeCosts shared = {{4}, {1}};
+  f::MinCostResult wrong_request;
+  wrong_request.match.assignment = {0, -1};
+  wrong_request.match.served = 1;
+  wrong_request.total_cost = 4;
+  EXPECT_THROW(f::validate_min_cost(q, shared, wrong_request),
+               std::logic_error);
+  wrong_request.match.assignment = {-1, 0};
+  wrong_request.total_cost = 1;
+  EXPECT_NO_THROW(f::validate_min_cost(q, shared, wrong_request));
+}
+
+TEST(ValidateMinCost, RejectsWrongTotalsAndLostMaximality) {
+  f::ConnectionProblem p(2);
+  p.set_capacity(0, 1);
+  p.set_capacity(1, 1);
+  p.add_request({0, 1});
+  p.add_request({0});
+  const f::EdgeCosts costs = {{0, 100}, {0}};
+  auto result = f::MinCostMatcher::solve(p, costs);
+  auto misreported = result;
+  misreported.total_cost = 0;
+  EXPECT_THROW(f::validate_min_cost(p, costs, misreported), std::logic_error);
+
+  // The cheap partial matching: r0 on box 0, r1 unserved.
+  f::MinCostResult partial;
+  partial.match.assignment = {0, -1};
+  partial.match.served = 1;
+  EXPECT_THROW(f::validate_min_cost(p, costs, partial), std::logic_error);
+
+  // A structurally broken assignment fails validate_assignment first.
+  result.match.assignment[1] = 1;  // box 1 is not a candidate of r1
+  EXPECT_THROW(f::validate_min_cost(p, costs, result), std::logic_error);
+  EXPECT_THROW(f::validate_min_cost(p, {{0, -1}, {0}}, result),
                std::invalid_argument);
 }
 

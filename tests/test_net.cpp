@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "alloc/allocation.hpp"
+#include "alloc/permutation.hpp"
 #include "core/vod_system.hpp"
 #include "model/capacity.hpp"
 #include "model/catalog.hpp"
@@ -240,6 +242,57 @@ TEST(ZoneAwareSimulator, ZeroCostTopologyMatchesCostBlindFeasibility) {
   EXPECT_EQ(zoned.intra_zone_chunks + zoned.cross_zone_chunks,
             zoned.chunks_served);
   EXPECT_EQ(zoned.zone_cost_total, 0);
+}
+
+// An E14-style soak — the zone family's protocol (c = 4, k = 6, d = 4,
+// T = 12, 0.8-Zipf demand at rate 0.45), 4 round-robin zones at unit
+// inter-zone cost, 48 non-strict rounds — with verify_incremental on: every
+// round's min-cost solve passes flow::validate_min_cost, and checking moves
+// no output. With link caps the check runs before admission control drops
+// connections the optimum keeps.
+TEST(ZoneAwareSimulator, VerifiedSoakRunsClean) {
+  constexpr std::uint32_t kBoxes = 96;
+  constexpr std::uint32_t kVideos = 64;  // d·n/k
+  const m::Catalog catalog(kVideos, 4, 12);
+  struct Cell {
+    double upload;
+    std::uint32_t link_cap;  // 0 = uncapped
+  };
+  for (const Cell cell : {Cell{1.0, 0}, Cell{1.5, 0}, Cell{1.0, 3}}) {
+    const auto profile =
+        m::CapacityProfile::homogeneous(kBoxes, cell.upload, 4.0);
+    p2pvod::util::Rng rng(0xE1400);
+    const auto allocation =
+        a::PermutationAllocator().allocate(catalog, profile, 6, rng);
+    auto topology = n::Topology::uniform(kBoxes, 4);
+    topology.set_uniform_cost(0, 1);
+    if (cell.link_cap > 0) topology.set_uniform_link_cap(cell.link_cap);
+    const auto soak = [&](bool verify) {
+      s::PreloadingStrategy strategy;
+      s::SimulatorOptions options;
+      options.strict = false;
+      options.topology = &topology;
+      options.verify_incremental = verify;
+      s::Simulator simulator(catalog, profile, allocation, strategy, options);
+      p2pvod::workload::ZipfDemand audience(kVideos, 0.8, 0.45, 0xE14AA);
+      return simulator.run(audience, 48);
+    };
+    const auto checked = soak(true);
+    const auto plain = soak(false);
+    const std::string where = "u=" + std::to_string(cell.upload) +
+                              " cap=" + std::to_string(cell.link_cap);
+    EXPECT_EQ(checked.rounds, 48u) << where;
+    EXPECT_GT(checked.cross_zone_chunks, 0u) << where;
+    EXPECT_EQ(checked.chunks_served, plain.chunks_served) << where;
+    EXPECT_EQ(checked.chunks_stalled, plain.chunks_stalled) << where;
+    EXPECT_EQ(checked.zone_cost_total, plain.zone_cost_total) << where;
+    EXPECT_EQ(checked.link_cap_rejections, plain.link_cap_rejections)
+        << where;
+    EXPECT_EQ(checked.link_cap_rescues, plain.link_cap_rescues) << where;
+    if (cell.link_cap > 0) {
+      EXPECT_GT(checked.link_cap_rejections, 0u) << where;
+    }
+  }
 }
 
 TEST(ZoneAwareSimulator, RejectsTopologySizeMismatch) {

@@ -6,7 +6,7 @@
 //   * Dinic on the §2.3 flow network (ConnectionProblem::solve),
 //   * capacity-aware Hopcroft–Karp, the tests' independent oracle,
 //   * CsrMatcher::repair re-deriving a dense round from the previous
-//     round's assignment,
+//     round's assignment, alone and with the round's problem refill,
 //   * the sparse CSR path: row patches, row rebuilds, CsrMatcher::augment,
 //   * MinCostMatcher on a zone-aware round (the E14/E15/E17 inner loop).
 #include <benchmark/benchmark.h>
@@ -58,8 +58,10 @@ void BM_HopcroftKarp(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
   std::vector<std::vector<std::uint32_t>> adjacency;
-  for (std::uint32_t r = 0; r < problem.request_count(); ++r)
-    adjacency.push_back(problem.candidates(r));
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r) {
+    const auto candidates = problem.candidates(r);
+    adjacency.emplace_back(candidates.begin(), candidates.end());
+  }
   for (auto _ : state) {
     flow::HopcroftKarp solver(adjacency, problem.capacities());
     benchmark::DoNotOptimize(solver.solve());
@@ -71,22 +73,54 @@ BENCHMARK(BM_HopcroftKarp)->Arg(64)->Arg(256)->Arg(1024);
 
 // Dense repair when 90% of the assignment carries over — the common
 // steady-state round (only new joiners and retirements change the problem).
+// repair() hands its matching back through the carry, so each iteration
+// restores the same carry first.
 void BM_IncrementalRepair(benchmark::State& state) {
   const auto boxes = static_cast<std::uint32_t>(state.range(0));
   const auto problem = make_problem(boxes, boxes * 4, 6, 8, 42);
   flow::CsrMatcher matcher;
-  const auto base = matcher.repair(
-      problem, std::vector<std::int32_t>(problem.request_count(), -1));
+  std::vector<std::int32_t> base(problem.request_count(), -1);
+  (void)matcher.repair(problem, base);
   // Invalidate 10% of the carried assignment.
-  auto carry = base.match.assignment;
-  for (std::size_t i = 0; i < carry.size(); i += 10) carry[i] = -1;
+  for (std::size_t i = 0; i < base.size(); i += 10) base[i] = -1;
+  std::vector<std::int32_t> carry;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.repair(problem, carry).match.served);
+    carry.assign(base.begin(), base.end());
+    benchmark::DoNotOptimize(matcher.repair(problem, carry).served);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           problem.request_count());
 }
 BENCHMARK(BM_IncrementalRepair)->Arg(64)->Arg(256)->Arg(1024);
+
+// One threshold_trials-shaped dense round (n = 200 boxes of capacity 4, so
+// u = 1 at c = 4; 590 requests with ~20 distinct candidates each): refill
+// one reused ConnectionProblem row by row, as the simulator does every
+// round, then repair last round's matching with ~88% of it carried over.
+void BM_DenseRound(benchmark::State& state) {
+  constexpr std::uint32_t kBoxes = 200;
+  const auto source = make_problem(kBoxes, 590, 4, 22, 42);
+  flow::CsrMatcher matcher;
+  std::vector<std::int32_t> base(source.request_count(), -1);
+  (void)matcher.repair(source, base);
+  util::Rng rng(7);
+  for (auto& box : base) {
+    if (rng.next_below(100) < 12) box = -1;
+  }
+  flow::ConnectionProblem problem(kBoxes);
+  std::vector<std::int32_t> carry;
+  for (auto _ : state) {
+    problem.clear();
+    problem.set_capacities(source.capacities());
+    for (std::uint32_t r = 0; r < source.request_count(); ++r)
+      problem.add_request(source.candidates(r));
+    carry.assign(base.begin(), base.end());
+    benchmark::DoNotOptimize(matcher.repair(problem, carry).served);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          source.request_count());
+}
+BENCHMARK(BM_DenseRound);
 
 // --- sparse CSR path (E16) --------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "flow/bipartite.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "flow/dinic.hpp"
@@ -23,26 +24,34 @@ void ConnectionProblem::set_capacity(std::uint32_t box,
   capacity_.at(box) = capacity;
 }
 
-void ConnectionProblem::set_capacities(std::vector<std::uint32_t> capacities) {
+void ConnectionProblem::set_capacities(
+    std::span<const std::uint32_t> capacities) {
   if (capacities.size() != capacity_.size())
     throw std::invalid_argument("set_capacities: size mismatch");
-  capacity_ = std::move(capacities);
+  std::copy(capacities.begin(), capacities.end(), capacity_.begin());
 }
 
 std::uint32_t ConnectionProblem::add_request(
-    std::vector<std::uint32_t> candidate_boxes) {
+    std::span<const std::uint32_t> candidate_boxes) {
   for (const std::uint32_t b : candidate_boxes) {
     if (b >= capacity_.size())
       throw std::out_of_range("add_request: candidate box out of range");
   }
-  candidates_.push_back(std::move(candidate_boxes));
-  return static_cast<std::uint32_t>(candidates_.size() - 1);
+  boxes_.insert(boxes_.end(), candidate_boxes.begin(), candidate_boxes.end());
+  offsets_.push_back(boxes_.size());
+  return request_count() - 1;
 }
 
-std::uint64_t ConnectionProblem::edge_count() const noexcept {
-  std::uint64_t edges = 0;
-  for (const auto& cands : candidates_) edges += cands.size();
-  return edges;
+void ConnectionProblem::clear() noexcept {
+  offsets_.resize(1);
+  boxes_.clear();
+}
+
+std::span<const std::uint32_t> ConnectionProblem::candidates(
+    std::uint32_t request) const {
+  if (request >= request_count())
+    throw std::out_of_range("candidates: request out of range");
+  return row(request);
 }
 
 MatchResult ConnectionProblem::solve() const {
@@ -60,8 +69,8 @@ MatchResult ConnectionProblem::solve() const {
     if (capacity_[b] > 0) network.add_edge(source, b, capacity_[b]);
   }
   for (std::uint32_t r = 0; r < requests; ++r) {
-    request_box_edges[r].reserve(candidates_[r].size());
-    for (const std::uint32_t b : candidates_[r]) {
+    request_box_edges[r].reserve(row(r).size());
+    for (const std::uint32_t b : row(r)) {
       request_box_edges[r].push_back(network.add_edge(b, boxes + r, 1));
     }
     request_sink_edge[r] = network.add_edge(boxes + r, sink, 1);
@@ -75,9 +84,10 @@ MatchResult ConnectionProblem::solve() const {
   result.served = static_cast<std::uint32_t>(flow);
   result.complete = (result.served == requests);
   for (std::uint32_t r = 0; r < requests; ++r) {
-    for (std::size_t j = 0; j < candidates_[r].size(); ++j) {
+    const std::span<const std::uint32_t> candidates = row(r);
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
       if (network.flow_on(request_box_edges[r][j]) > 0) {
-        result.assignment[r] = static_cast<std::int32_t>(candidates_[r][j]);
+        result.assignment[r] = static_cast<std::int32_t>(candidates[j]);
         break;
       }
     }
@@ -100,7 +110,7 @@ ConnectionProblem::infeasibility_witness() const {
     if (capacity_[b] > 0) network.add_edge(source, b, capacity_[b]);
   }
   for (std::uint32_t r = 0; r < requests; ++r) {
-    for (const std::uint32_t b : candidates_[r]) {
+    for (const std::uint32_t b : row(r)) {
       network.add_edge(b, boxes + r, 1);
     }
     network.add_edge(boxes + r, sink, 1);
@@ -118,7 +128,7 @@ ConnectionProblem::infeasibility_witness() const {
   for (std::uint32_t r = 0; r < requests; ++r) {
     if (source_side[boxes + r]) continue;
     bool all_sink_side = true;
-    for (const std::uint32_t b : candidates_[r]) {
+    for (const std::uint32_t b : row(r)) {
       if (source_side[b]) {
         all_sink_side = false;
         break;

@@ -5,10 +5,18 @@
 // playback caches, §2.2), find a sub-graph where every request has degree 1
 // and every box b has degree at most ⌊u_b c⌋. Lemma 1 reduces existence to a
 // max-flow computation; this class owns the reduction and result extraction.
+//
+// Storage is CSR: request r's candidates are boxes_[offsets_[r],
+// offsets_[r + 1]). One problem can be refilled round after round: clear()
+// drops the requests but keeps every buffer's capacity, so a steady-state
+// refill does no heap allocation. The spans candidates() returns view that
+// storage: add_request() and clear() invalidate them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "flow/graph.hpp"
@@ -32,28 +40,39 @@ class ConnectionProblem {
 
   /// Set box capacity (stripe connections per round), ⌊u_b c⌋.
   void set_capacity(std::uint32_t box, std::uint32_t capacity);
-  void set_capacities(std::vector<std::uint32_t> capacities);
+  /// Copy every box's capacity into the existing buffer; throws
+  /// std::invalid_argument unless there is one per box.
+  void set_capacities(std::span<const std::uint32_t> capacities);
 
   /// Add a request and its candidate server set; returns request index.
-  std::uint32_t add_request(std::vector<std::uint32_t> candidate_boxes);
+  /// Throws std::out_of_range (and adds nothing) for a box >= box_count().
+  std::uint32_t add_request(std::span<const std::uint32_t> candidate_boxes);
+  std::uint32_t add_request(const std::vector<std::uint32_t>& candidate_boxes) {
+    return add_request(std::span<const std::uint32_t>(candidate_boxes));
+  }
+
+  /// Drop every request. Box count and capacities stay; buffers keep their
+  /// capacity for the next refill.
+  void clear() noexcept;
 
   [[nodiscard]] std::uint32_t box_count() const noexcept {
     return static_cast<std::uint32_t>(capacity_.size());
   }
   [[nodiscard]] std::uint32_t request_count() const noexcept {
-    return static_cast<std::uint32_t>(candidates_.size());
+    return static_cast<std::uint32_t>(offsets_.size() - 1);
   }
-  [[nodiscard]] const std::vector<std::uint32_t>& candidates(
-      std::uint32_t request) const {
-    return candidates_.at(request);
-  }
+  /// Request's candidate boxes; throws std::out_of_range for a bad index.
+  [[nodiscard]] std::span<const std::uint32_t> candidates(
+      std::uint32_t request) const;
   [[nodiscard]] std::uint32_t capacity(std::uint32_t box) const {
     return capacity_.at(box);
   }
   [[nodiscard]] const std::vector<std::uint32_t>& capacities() const noexcept {
     return capacity_;
   }
-  [[nodiscard]] std::uint64_t edge_count() const noexcept;
+  [[nodiscard]] std::uint64_t edge_count() const noexcept {
+    return boxes_.size();
+  }
 
   /// Maximum matching by Dinic max-flow on the §2.3 network.
   [[nodiscard]] MatchResult solve() const;
@@ -65,8 +84,14 @@ class ConnectionProblem {
   infeasibility_witness() const;
 
  private:
+  /// Candidates of request r without the bounds check.
+  [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t r) const {
+    return {boxes_.data() + offsets_[r], boxes_.data() + offsets_[r + 1]};
+  }
+
   std::vector<std::uint32_t> capacity_;
-  std::vector<std::vector<std::uint32_t>> candidates_;
+  std::vector<std::size_t> offsets_{0};  ///< request_count() + 1 entries
+  std::vector<std::uint32_t> boxes_;     ///< every request's candidates
 };
 
 }  // namespace p2pvod::flow

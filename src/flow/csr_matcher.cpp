@@ -10,17 +10,19 @@ namespace p2pvod::flow {
 
 namespace {
 
-/// Augment-call accounting. The multiset of augment() calls and their
-/// outcomes is fixed by the round schedule (calls happen sequentially within
-/// one trial), so both metrics are thread-count-invariant.
-struct AugmentCounters {
-  obs::Counter& calls;
-  obs::Histogram& depth;
-  static AugmentCounters& get() {
-    static AugmentCounters counters{
+/// Search accounting. The multiset of searches and their outcomes is fixed
+/// by the round schedule (calls happen sequentially within one trial), so
+/// every metric is thread-count-invariant.
+struct SearchCounters {
+  obs::Counter& augments;  ///< augment() calls
+  obs::Histogram& depth;   ///< augment()'s deepest frame stack
+  obs::Counter& steps;     ///< candidate boxes examined, both entry points
+  static SearchCounters& get() {
+    static SearchCounters counters{
         obs::MetricsRegistry::global().counter("flow/csr_augments"),
         obs::MetricsRegistry::global().histogram("flow/csr_augment_depth",
-                                                 obs::pow2_bounds(12))};
+                                                 obs::pow2_bounds(12)),
+        obs::MetricsRegistry::global().counter("flow/csr_search_steps")};
     return counters;
   }
 };
@@ -74,8 +76,10 @@ void CsrMatcher::assign(std::uint32_t row, std::uint32_t box) {
 template <class RowsOf>
 bool CsrMatcher::search(const RowsOf& rows_of,
                         std::span<const std::uint32_t> capacity,
-                        std::uint32_t row, std::size_t& max_depth) {
+                        std::uint32_t row, std::size_t& max_depth,
+                        std::uint64_t& steps) {
   max_depth = 1;
+  std::uint64_t examined = 0;
   next_epoch();
   stack_.clear();
   stack_.push_back({row, 0, 0, false});
@@ -83,45 +87,48 @@ bool CsrMatcher::search(const RowsOf& rows_of,
     Frame& f = stack_.back();
     const std::span<const std::uint32_t> candidates = rows_of(f.row);
     if (!f.in_box) {
-      bool descended = false;
-      while (f.ci < candidates.size()) {
-        const std::uint32_t box = candidates[f.ci];
-        if (visit_mark_[box] == epoch_) {
-          ++f.ci;
-          continue;
-        }
-        visit_mark_[box] = epoch_;
-        if (degree_[box] < capacity[box]) {
+      if (f.ci == 0) {
+        // First entry (leaving a box always advances ci): look ahead over
+        // the whole row for a box below capacity.
+        for (std::uint32_t i = 0; i < candidates.size(); ++i) {
+          const std::uint32_t box = candidates[i];
+          if (degree_[box] >= capacity[box]) continue;
           // Free slot found: commit the whole alternating path. The tail
           // row takes the free slot; every ancestor overwrites the serving
           // its child vacated (served_by_ positions stay put, so no vector
           // churn along the path).
+          steps += examined + i + 1;
           assign(f.row, box);
-          for (std::size_t i = stack_.size() - 1; i-- > 0;) {
-            const Frame& parent = stack_[i];
+          for (std::size_t k = stack_.size() - 1; k-- > 0;) {
+            const Frame& parent = stack_[k];
             const std::uint32_t parent_box = rows_of(parent.row)[parent.ci];
             served_by_[parent_box][parent.si] = parent.row;
             assignment_[parent.row] = static_cast<std::int32_t>(parent_box);
           }
           return true;
         }
-        // Box saturated: try to displace one of the rows it serves.
-        f.in_box = true;
-        f.si = 0;
-        descended = true;
-        break;
+        examined += candidates.size();
       }
-      if (!descended) {
+      // Every box of the row is saturated: descend into the next one this
+      // search has not explored yet.
+      while (f.ci < candidates.size() &&
+             visit_mark_[candidates[f.ci]] == epoch_) {
+        ++examined;
+        ++f.ci;
+      }
+      if (f.ci == candidates.size()) {
         stack_.pop_back();
         if (!stack_.empty()) ++stack_.back().si;
         continue;
       }
+      ++examined;
+      visit_mark_[candidates[f.ci]] = epoch_;
+      f.in_box = true;
+      f.si = 0;
     }
-    const std::uint32_t box = candidates[f.ci];
-    const auto& servings = served_by_[box];
+    const auto& servings = served_by_[candidates[f.ci]];
     if (f.si >= servings.size()) {
       f.in_box = false;
-      f.si = 0;
       ++f.ci;
       continue;
     }
@@ -130,6 +137,7 @@ bool CsrMatcher::search(const RowsOf& rows_of,
     stack_.push_back({servings[f.si], 0, 0, false});
     max_depth = std::max(max_depth, stack_.size());
   }
+  steps += examined;
   return false;
 }
 
@@ -137,18 +145,20 @@ bool CsrMatcher::augment(const CsrProblem& csr,
                          std::span<const std::uint32_t> capacity,
                          std::uint32_t row) {
   OBS_SPAN("flow/csr_augment");
-  AugmentCounters& counters = AugmentCounters::get();
-  counters.calls.add();
+  SearchCounters& counters = SearchCounters::get();
+  counters.augments.add();
   std::size_t max_depth = 1;
+  std::uint64_t steps = 0;
   const bool served = search(
       [&csr](std::uint32_t r) { return csr.row(r); }, capacity, row,
-      max_depth);
+      max_depth, steps);
   counters.depth.observe(max_depth);
+  counters.steps.add(steps);
   return served;
 }
 
 CsrMatcher::RepairResult CsrMatcher::repair(
-    const ConnectionProblem& problem, std::span<const std::int32_t> carry) {
+    const ConnectionProblem& problem, std::vector<std::int32_t>& carry) {
   const std::uint32_t boxes = problem.box_count();
   const std::uint32_t requests = problem.request_count();
   const std::span<const std::uint32_t> capacity = problem.capacities();
@@ -164,7 +174,7 @@ CsrMatcher::RepairResult CsrMatcher::repair(
     if (carry[r] < 0) continue;
     const auto box = static_cast<std::uint32_t>(carry[r]);
     if (box >= boxes || degree_[box] >= capacity[box]) continue;
-    const auto& candidates = problem.candidates(r);
+    const std::span<const std::uint32_t> candidates = problem.candidates(r);
     if (std::find(candidates.begin(), candidates.end(), box) ==
         candidates.end())
       continue;
@@ -175,18 +185,19 @@ CsrMatcher::RepairResult CsrMatcher::repair(
   // Augment the rest. Exhaustive from a valid partial matching, so the
   // result is maximum (Berge): keeping edges never costs a served request.
   const auto rows_of = [&problem](std::uint32_t r) {
-    return std::span<const std::uint32_t>(problem.candidates(r));
+    return problem.candidates(r);
   };
   std::size_t max_depth = 1;
+  std::uint64_t steps = 0;
   for (std::uint32_t r = 0; r < requests; ++r) {
-    if (assignment_[r] < 0 && search(rows_of, capacity, r, max_depth))
+    if (assignment_[r] < 0 && search(rows_of, capacity, r, max_depth, steps))
       ++result.new_connections;
   }
+  SearchCounters::get().steps.add(steps);
 
-  result.match.assignment = assignment_;
-  result.match.served = static_cast<std::uint32_t>(result.kept_connections +
-                                                   result.new_connections);
-  result.match.complete = result.match.served == requests;
+  result.served = static_cast<std::uint32_t>(result.kept_connections +
+                                             result.new_connections);
+  assignment_.swap(carry);
   return result;
 }
 

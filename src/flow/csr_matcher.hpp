@@ -12,16 +12,29 @@
 //     last round's assignment, keeps every carried connection that is still
 //     valid and augments the rest.
 //
+// Before it descends, the search looks ahead (MC21, Duff 1981): when it
+// first enters a row it scans the whole row once for a box below capacity
+// and takes it. Only a row whose boxes are all saturated descends into a
+// box's servings, so a free box late in a row is found without a deep
+// detour through the earlier ones. Degrees do not change during a search,
+// so every box the descent marks visited is saturated and the descent never
+// tests capacity itself.
+//
 // Two ingredients keep an augmentation O(edges explored):
 //   - visited marks are epoch stamps (one uint32 per box, bumped per call),
 //     so there is no per-call O(n) clear;
 //   - the alternating-path search is an explicit frame stack, not recursion,
 //     so a million-deep path cannot smash the C++ stack.
 //
-// Starting from any valid partial matching, exhaustively augmenting every
-// unmatched slot yields a maximum matching (Berge), so either engine serves
-// exactly as many requests as a from-scratch solve — the equivalence the
-// simulator's verify path checks.
+// The search is still a depth-first search for an augmenting path in which
+// a box is explored at most once: the lookahead only changes which box, and
+// so which path, is taken first. It finds a path whenever one exists, and
+// starting from any valid partial matching, exhaustively augmenting every
+// unmatched slot yields a maximum matching (Berge). Either engine therefore
+// serves exactly as many requests as a from-scratch solve — the equivalence
+// the simulator's verify path checks. flow/csr_search_steps counts the
+// candidate boxes the search examines (lookahead scans plus descents), over
+// augment() and repair() alike.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +79,7 @@ class CsrMatcher {
                std::uint32_t row);
 
   struct RepairResult {
-    MatchResult match;  ///< maximum matching, same contract as solve()
+    std::uint32_t served = 0;  ///< size of the maximum matching
     std::uint64_t kept_connections = 0;  ///< carried connections kept
     std::uint64_t new_connections = 0;   ///< requests served by augmenting
   };
@@ -74,9 +87,13 @@ class CsrMatcher {
   /// Dense round: discard the current matching, re-size per-box state to
   /// `problem`, keep each carry[r] (the box that served request r last
   /// round, or -1) that is still a candidate of r with spare capacity, in
-  /// request order, then augment every other request in order.
-  [[nodiscard]] RepairResult repair(const ConnectionProblem& problem,
-                                    std::span<const std::int32_t> carry);
+  /// request order, then augment every other request in order. On return
+  /// `carry` holds the new maximum matching, one entry per request in
+  /// ConnectionProblem::solve()'s form (box or -1). The matcher swaps its
+  /// buffer with `carry`, so a steady-state round allocates nothing; its
+  /// own slot state is then stale, and only another repair() may follow.
+  RepairResult repair(const ConnectionProblem& problem,
+                      std::vector<std::int32_t>& carry);
 
  private:
   struct Frame {
@@ -90,10 +107,10 @@ class CsrMatcher {
   void assign(std::uint32_t row, std::uint32_t box);
   /// The augmenting-path search behind augment() and repair(): `rows_of(r)`
   /// yields row r's candidate boxes. Sets `max_depth` to the deepest frame
-  /// stack reached.
+  /// stack reached and adds the candidate boxes examined to `steps`.
   template <class RowsOf>
   bool search(const RowsOf& rows_of, std::span<const std::uint32_t> capacity,
-              std::uint32_t row, std::size_t& max_depth);
+              std::uint32_t row, std::size_t& max_depth, std::uint64_t& steps);
 
   std::vector<std::int32_t> assignment_;           ///< per slot, -1 = free
   std::vector<std::uint32_t> degree_;              ///< per box

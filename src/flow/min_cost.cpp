@@ -277,7 +277,7 @@ MinCostResult MinCostMatcher::solve(const ConnectionProblem& problem,
   }
   std::vector<std::vector<EdgeId>> request_box_edges(requests);
   for (std::uint32_t r = 0; r < requests; ++r) {
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     request_box_edges[r].reserve(candidates.size());
     for (std::size_t j = 0; j < candidates.size(); ++j) {
       request_box_edges[r].push_back(
@@ -294,7 +294,7 @@ MinCostResult MinCostMatcher::solve(const ConnectionProblem& problem,
   MinCostResult result;
   result.match.assignment.assign(requests, -1);
   for (std::uint32_t r = 0; r < requests; ++r) {
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     for (std::size_t j = 0; j < candidates.size(); ++j) {
       if (network.flow_on(request_box_edges[r][j]) > 0) {
         result.match.assignment[r] = static_cast<std::int32_t>(candidates[j]);
@@ -336,7 +336,7 @@ void validate_min_cost(const ConnectionProblem& problem,
   }
   Cost total = 0;
   for (std::uint32_t r = 0; r < requests; ++r) {
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     const std::int32_t assigned = result.match.assignment[r];
     std::size_t used = candidates.size();  // the candidate entry serving r
     for (std::size_t j = 0; j < candidates.size(); ++j) {
@@ -418,7 +418,7 @@ MinCostResult min_cost_brute_force(const ConnectionProblem& problem,
       }
       return;
     }
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     for (std::size_t j = 0; j < candidates.size(); ++j) {
       const std::uint32_t b = candidates[j];
       if (remaining[b] == 0) continue;
@@ -451,7 +451,7 @@ GroupCapOutcome enforce_group_caps(const ConnectionProblem& problem,
   // The candidate index of request r's assignment — groups and costs are
   // candidate-indexed, the assignment is a box id.
   const auto candidate_index = [&](std::uint32_t r, std::uint32_t box) {
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     for (std::size_t j = 0; j < candidates.size(); ++j) {
       if (candidates[j] == box) return j;
     }
@@ -489,7 +489,7 @@ GroupCapOutcome enforce_group_caps(const ConnectionProblem& problem,
     std::vector<std::uint32_t> degree =
         result.box_degrees(problem.box_count());
     for (const std::uint32_t r : rejected) {
-      const auto& candidates = problem.candidates(r);
+      const auto candidates = problem.candidates(r);
       std::int32_t best = -1;
       std::size_t best_j = 0;
       for (std::size_t j = 0; j < candidates.size(); ++j) {
@@ -553,7 +553,7 @@ MinCostResult min_cost_capped_brute_force(
       }
       return;
     }
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     for (std::size_t j = 0; j < candidates.size(); ++j) {
       const std::uint32_t b = candidates[j];
       if (remaining[b] == 0) continue;

@@ -34,7 +34,7 @@ void validate_assignment(const ConnectionProblem& problem,
            std::to_string(problem.box_count()) + " boxes)");
     // Linear membership scan: candidate lists are not required to be sorted
     // here, and the validator must not inherit the assumption under test.
-    const auto& candidates = problem.candidates(r);
+    const auto candidates = problem.candidates(r);
     if (std::find(candidates.begin(), candidates.end(), box) ==
         candidates.end())
       fail("request " + std::to_string(r) + " assigned box " +

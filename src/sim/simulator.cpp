@@ -280,10 +280,12 @@ void Simulator::collect_candidates(model::StripeId stripe,
   cache_.collect_servers(stripe, issue, now_, requester, out);
 }
 
-flow::ConnectionProblem Simulator::build_connection_problem() {
-  flow::ConnectionProblem problem(profile_.size());
-  problem.set_capacities(capacity_slots_);
+const flow::ConnectionProblem& Simulator::fill_connection_problem() {
   OBS_SPAN("sim/build_candidates");
+  if (!problem_) problem_.emplace(profile_.size());
+  flow::ConnectionProblem& problem = *problem_;
+  problem.clear();
+  problem.set_capacities(capacity_slots_);
   for (std::size_t i = 0; i < live_.size(); ++i) {
     scratch_candidates_.clear();
     collect_candidates(live_.stripe[i], live_.issue[i], live_.requester[i],
@@ -298,37 +300,31 @@ flow::ConnectionProblem Simulator::build_connection_problem() {
 }
 
 void Simulator::record_stall_witness() {
-  flow::ConnectionProblem problem = build_connection_problem();
+  const flow::ConnectionProblem& problem = fill_connection_problem();
   auto witness = problem.infeasibility_witness();
   if (!witness) return;  // link caps can stall a Hall-feasible round
   report_.stall_witness_size = static_cast<std::uint32_t>(witness->size());
   if (checks_enabled())
-    stall_record_.emplace(StallRecord{std::move(problem), std::move(*witness)});
+    stall_record_.emplace(StallRecord{problem, std::move(*witness)});
 }
 
 std::uint32_t Simulator::solve_round_dense() {
-  flow::ConnectionProblem problem = build_connection_problem();
+  const flow::ConnectionProblem& problem = fill_connection_problem();
   report_.rows_built += live_.size();  // dense collects every row, every round
   report_.matcher_edges += problem.edge_count();
 
-  flow::MatchResult result;
-  {
-    OBS_SPAN("sim/match");
-    if (options_.topology != nullptr) {
-      result = solve_zone_aware(problem);
-    } else {
-      // Connection reuse is cost-blind, so only this branch keeps carries.
-      auto repaired = matcher_.repair(problem, live_.carry);
-      report_.kept_connections += repaired.kept_connections;
-      report_.new_connections += repaired.new_connections;
-      result = std::move(repaired.match);
-      if (options_.verify_incremental) verify_round(problem, result);
-    }
+  OBS_SPAN("sim/match");
+  if (options_.topology != nullptr) {
+    flow::MatchResult result = solve_zone_aware(problem);
+    live_.carry = std::move(result.assignment);
+    return result.served;
   }
-
-  const std::uint32_t served = result.served;
-  live_.carry = std::move(result.assignment);
-  return served;
+  // Connection reuse is cost-blind, so only this branch keeps carries.
+  const auto repaired = matcher_.repair(problem, live_.carry);
+  report_.kept_connections += repaired.kept_connections;
+  report_.new_connections += repaired.new_connections;
+  if (options_.verify_incremental) verify_round(problem, repaired.served);
+  return repaired.served;
 }
 
 std::uint32_t Simulator::solve_round_sparse() {
@@ -352,22 +348,19 @@ std::uint32_t Simulator::solve_round_sparse() {
   if (options_.verify_incremental) {
     // The sparse rows are persistent, so the reference problem is rebuilt
     // from ground truth: a row that drifted shows up as a wrong assignment.
-    flow::MatchResult result;
-    result.assignment = live_.carry;
-    result.served = served;
-    result.complete = served == live_.size();
-    verify_round(build_connection_problem(), result);
+    verify_round(fill_connection_problem(), served);
   }
   return served;
 }
 
 void Simulator::verify_round(const flow::ConnectionProblem& problem,
-                             const flow::MatchResult& result) const {
+                             std::uint32_t served) const {
   // Membership and capacity violations surface in validate_assignment with
   // the offending request named; a served-count mismatch against the
   // reference solve catches lost maximality.
-  flow::validate_assignment(problem, result);
-  if (problem.solve().served != result.served)
+  flow::validate_assignment(
+      problem, flow::MatchResult{live_.carry, served, served == live_.size()});
+  if (problem.solve().served != served)
     throw std::logic_error(
         "Simulator: round matching disagrees with reference solve");
 }
@@ -382,7 +375,7 @@ flow::MatchResult Simulator::solve_zone_aware(
   flow::EdgeCosts costs(live_.size());
   for (std::size_t i = 0; i < live_.size(); ++i) {
     const net::ZoneId dest = topology.zone_of(live_.requester[i]);
-    const auto& candidates = problem.candidates(static_cast<std::uint32_t>(i));
+    const auto candidates = problem.candidates(static_cast<std::uint32_t>(i));
     costs[i].reserve(candidates.size());
     for (const std::uint32_t b : candidates) {
       costs[i].push_back(topology.cost(topology.zone_of(b), dest));
@@ -434,7 +427,7 @@ void Simulator::enforce_link_caps(const flow::ConnectionProblem& problem,
   flow::EdgeGroups groups(live_.size());
   for (std::size_t i = 0; i < live_.size(); ++i) {
     const net::ZoneId dest = topology.zone_of(live_.requester[i]);
-    const auto& candidates = problem.candidates(static_cast<std::uint32_t>(i));
+    const auto candidates = problem.candidates(static_cast<std::uint32_t>(i));
     groups[i].reserve(candidates.size());
     for (const std::uint32_t b : candidates) {
       groups[i].push_back(

@@ -187,22 +187,24 @@ class Simulator {
   std::uint32_t solve_round_dense();
   /// Sparse engine: patch-and-repair round on the persistent CSR state.
   std::uint32_t solve_round_sparse();
-  /// verify_incremental: `result` must be a valid assignment for `problem`
-  /// serving as many requests as a from-scratch Dinic solve; throws
-  /// std::logic_error otherwise.
+  /// verify_incremental: live_.carry, serving `served` requests, must be a
+  /// valid assignment for `problem` serving as many requests as a
+  /// from-scratch Dinic solve; throws std::logic_error otherwise.
   void verify_round(const flow::ConnectionProblem& problem,
-                    const flow::MatchResult& result) const;
+                    std::uint32_t served) const;
   /// Ground-truth candidates of one request at this round (duplicates
   /// allowed): online static holders other than the requester, then every
   /// cache entry that serves it (CacheIndex::collect_servers).
   void collect_candidates(model::StripeId stripe, model::Round issue,
                           model::BoxId requester,
                           std::vector<model::BoxId>& out) const;
-  /// The round's dense ConnectionProblem, collected from ground truth (also
-  /// the reference the sparse verify path validates against).
-  [[nodiscard]] flow::ConnectionProblem build_connection_problem();
-  /// Hall-violating witness for the first stall (rebuilds the round's
-  /// problem; runs once per run at most). Keeps the problem and witness for
+  /// Refill problem_ with the round's dense ConnectionProblem, collected
+  /// from ground truth (also the reference the sparse verify path validates
+  /// against), and return it. The one collection routine for every dense
+  /// consumer; the reference stays valid until the next refill.
+  const flow::ConnectionProblem& fill_connection_problem();
+  /// Hall-violating witness for the first stall (refills problem_; runs
+  /// once per run at most). Keeps a copy of the problem and the witness for
   /// check_invariants() when checks are on.
   void record_stall_witness();
   /// Cost-aware matching for the round (options_.topology set): min-cost
@@ -236,6 +238,11 @@ class Simulator {
   /// Dense cost-blind rounds; sizes its per-box state on first use, so the
   /// sparse and zone-aware engines never pay for it.
   flow::CsrMatcher matcher_;
+  /// The round's dense problem, refilled in place by
+  /// fill_connection_problem() so its buffers survive across rounds. Made
+  /// on the first fill, so a sparse run without verification never pays
+  /// for its per-box capacity array.
+  std::optional<flow::ConnectionProblem> problem_;
   /// Persistent CSR adjacency + matching; null on the dense engine.
   std::unique_ptr<SparseRoundState> sparse_;
 

@@ -4,18 +4,22 @@
 // successive-shortest-path loop it replaced, and validate_min_cost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <queue>
 #include <utility>
+#include <vector>
 
 #include "flow/bipartite.hpp"
 #include "flow/csr_matcher.hpp"
+#include "flow/csr_problem.hpp"
 #include "flow/dinic.hpp"
 #include "flow/graph.hpp"
 #include "flow/hall.hpp"
 #include "flow/hopcroft_karp.hpp"
 #include "flow/min_cost.hpp"
+#include "flow/verify.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -186,8 +190,10 @@ f::ConnectionProblem random_problem(p2pvod::util::Rng& rng,
 /// HopcroftKarp, the independent oracle, in ConnectionProblem::solve's form.
 f::MatchResult solve_by_hopcroft_karp(const f::ConnectionProblem& problem) {
   std::vector<std::vector<std::uint32_t>> adjacency;
-  for (std::uint32_t r = 0; r < problem.request_count(); ++r)
-    adjacency.push_back(problem.candidates(r));
+  for (std::uint32_t r = 0; r < problem.request_count(); ++r) {
+    const auto candidates = problem.candidates(r);
+    adjacency.emplace_back(candidates.begin(), candidates.end());
+  }
   f::HopcroftKarp solver(adjacency, problem.capacities());
   f::MatchResult result;
   result.served = solver.solve();
@@ -332,7 +338,76 @@ TEST(ConnectionProblem, EdgeCountSums) {
 TEST(ConnectionProblem, RejectsForeignBoxes) {
   f::ConnectionProblem p(2);
   EXPECT_THROW(p.add_request({5}), std::out_of_range);
-  EXPECT_THROW(p.set_capacities({1}), std::invalid_argument);
+  EXPECT_THROW(p.set_capacities(std::vector<std::uint32_t>{1}),
+               std::invalid_argument);
+}
+
+// One problem refilled round after round (the simulator's use) must be
+// indistinguishable from a freshly built one, whether it grows or shrinks.
+TEST(ConnectionProblem, ClearedAndRefilledEqualsFresh) {
+  p2pvod::util::Rng rng(0xC1EA);
+  f::ConnectionProblem reused(6);
+  int infeasible = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto requests = static_cast<std::uint32_t>(rng.next_below(15));
+    const auto fresh = random_problem(rng, 6, requests, 2, 0.3);
+    reused.clear();
+    reused.set_capacities(fresh.capacities());
+    for (std::uint32_t r = 0; r < requests; ++r)
+      reused.add_request(fresh.candidates(r));
+    ASSERT_EQ(reused.request_count(), requests);
+    ASSERT_EQ(reused.edge_count(), fresh.edge_count());
+    ASSERT_EQ(reused.capacities(), fresh.capacities());
+    for (std::uint32_t r = 0; r < requests; ++r) {
+      ASSERT_TRUE(std::ranges::equal(reused.candidates(r),
+                                     fresh.candidates(r)))
+          << "trial " << trial << " request " << r;
+    }
+    const auto a = reused.solve();
+    const auto b = fresh.solve();
+    ASSERT_EQ(a.assignment, b.assignment) << "trial " << trial;
+    ASSERT_EQ(a.served, b.served);
+    const auto witness = reused.infeasibility_witness();
+    ASSERT_EQ(witness, fresh.infeasibility_witness()) << "trial " << trial;
+    if (witness) ++infeasible;
+  }
+  EXPECT_GT(infeasible, 0);
+}
+
+TEST(ConnectionProblem, ClearKeepsBoundsChecks) {
+  f::ConnectionProblem p(2);
+  p.set_capacities(std::vector<std::uint32_t>{1, 1});
+  p.add_request({0, 1});
+  p.clear();
+  EXPECT_EQ(p.request_count(), 0u);
+  EXPECT_EQ(p.edge_count(), 0u);
+  EXPECT_EQ(p.capacity(1), 1u);
+  EXPECT_THROW((void)p.candidates(0), std::out_of_range);
+  EXPECT_THROW(p.add_request({1, 2}), std::out_of_range);
+  EXPECT_EQ(p.request_count(), 0u);  // a rejected request adds nothing
+  EXPECT_EQ(p.edge_count(), 0u);
+  p.add_request({1});
+  EXPECT_EQ(p.candidates(0).size(), 1u);
+  EXPECT_THROW((void)p.candidates(1), std::out_of_range);
+}
+
+// A row passed back from candidates() views the problem's own storage:
+// appending it must copy its values, also when the append reallocates.
+TEST(ConnectionProblem, AddRequestCopiesItsOwnRows) {
+  f::ConnectionProblem p(4);
+  p.add_request({0, 1, 2, 3});
+  for (int i = 0; i < 12; ++i) p.add_request(p.candidates(0));
+  p.add_request(p.candidates(5).subspan(2));
+  for (std::uint32_t r = 0; r < 13; ++r) {
+    EXPECT_EQ(std::vector<std::uint32_t>(p.candidates(r).begin(),
+                                         p.candidates(r).end()),
+              (std::vector<std::uint32_t>{0, 1, 2, 3}))
+        << "request " << r;
+  }
+  EXPECT_EQ(std::vector<std::uint32_t>(p.candidates(13).begin(),
+                                       p.candidates(13).end()),
+            (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(p.edge_count(), 13u * 4 + 2);
 }
 
 // ----------------------------------------------------------------- hall
@@ -402,8 +477,9 @@ TEST(CsrMatcherRepair, MatchesFromScratch) {
   p.add_request({0, 1});
   p.add_request({0});
   f::CsrMatcher matcher;
-  const auto repaired = matcher.repair(p, std::vector<std::int32_t>{-1, -1});
-  EXPECT_TRUE(repaired.match.complete);
+  std::vector<std::int32_t> carry{-1, -1};
+  const auto repaired = matcher.repair(p, carry);
+  EXPECT_EQ(repaired.served, 2u);
   EXPECT_EQ(repaired.kept_connections, 0u);
   EXPECT_EQ(repaired.new_connections, 2u);
 }
@@ -416,10 +492,11 @@ TEST(CsrMatcherRepair, KeepsValidCarries) {
   p.add_request({0, 1});
   f::CsrMatcher matcher;
   // Previous round's wiring.
-  const auto repaired = matcher.repair(p, std::vector<std::int32_t>{1, 0});
-  EXPECT_TRUE(repaired.match.complete);
-  EXPECT_EQ(repaired.match.assignment[0], 1);
-  EXPECT_EQ(repaired.match.assignment[1], 0);
+  std::vector<std::int32_t> carry{1, 0};
+  const auto repaired = matcher.repair(p, carry);
+  EXPECT_EQ(repaired.served, 2u);
+  EXPECT_EQ(carry[0], 1);
+  EXPECT_EQ(carry[1], 0);
   EXPECT_EQ(repaired.kept_connections, 2u);
   EXPECT_EQ(repaired.new_connections, 0u);
 }
@@ -430,9 +507,10 @@ TEST(CsrMatcherRepair, DropsInvalidCarries) {
   p.set_capacity(1, 1);
   p.add_request({1});  // box 0 no longer a candidate
   f::CsrMatcher matcher;
-  const auto repaired = matcher.repair(p, std::vector<std::int32_t>{0});
-  EXPECT_TRUE(repaired.match.complete);
-  EXPECT_EQ(repaired.match.assignment[0], 1);
+  std::vector<std::int32_t> carry{0};
+  const auto repaired = matcher.repair(p, carry);
+  EXPECT_EQ(repaired.served, 1u);
+  EXPECT_EQ(carry[0], 1);
   EXPECT_EQ(repaired.kept_connections, 0u);
   EXPECT_EQ(repaired.new_connections, 1u);
 }
@@ -450,10 +528,9 @@ TEST(CsrMatcherRepair, AgreesWithDinicOnRandomSequences) {
     carry.resize(problem.request_count(), -1);
     const auto repaired = matcher.repair(problem, carry);
     const auto reference = problem.solve();
-    ASSERT_EQ(repaired.match.served, reference.served) << "round " << round;
-    ASSERT_EQ(repaired.match.served,
+    ASSERT_EQ(repaired.served, reference.served) << "round " << round;
+    ASSERT_EQ(repaired.served,
               repaired.kept_connections + repaired.new_connections);
-    carry = repaired.match.assignment;
     kept += repaired.kept_connections;
   }
   EXPECT_GT(kept, 0u);
@@ -468,13 +545,139 @@ TEST(CsrMatcherRepair, MillionDeepChain) {
   for (std::uint32_t i = 0; i < kN; ++i) carry[i] = static_cast<std::int32_t>(i);
   f::CsrMatcher matcher;
   const auto repaired = matcher.repair(problem, carry);
-  EXPECT_TRUE(repaired.match.complete);
-  EXPECT_EQ(repaired.match.served, kN + 1);
+  EXPECT_EQ(repaired.served, kN + 1);
   EXPECT_EQ(repaired.kept_connections, kN);
   EXPECT_EQ(repaired.new_connections, 1u);
-  EXPECT_EQ(repaired.match.assignment[kN], 0);
-  EXPECT_EQ(repaired.match.assignment[0], 1);
-  EXPECT_EQ(repaired.match.assignment[kN - 1], static_cast<std::int32_t>(kN));
+  EXPECT_EQ(carry[kN], 0);
+  EXPECT_EQ(carry[0], 1);
+  EXPECT_EQ(carry[kN - 1], static_cast<std::int32_t>(kN));
+}
+
+// The lookahead changes which box a search takes, never whether it finds
+// one. Random instances with zero-capacity boxes, empty rows,
+// oversubscription and carries that went stale (box out of range, no longer
+// a candidate, or over capacity once earlier carries are kept) go through
+// repair() and through augment() on a CsrProblem mirror of the same rows.
+TEST(CsrMatcherLookahead, AgreesWithDinicOnRandomInstances) {
+  p2pvod::util::Rng rng(0x100CA);
+  f::CsrMatcher repairer;  // one matcher across instances of varying size
+  int empty_rows = 0;
+  int stale_carries = 0;
+  int short_rounds = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto boxes = static_cast<std::uint32_t>(1 + rng.next_below(12));
+    const auto requests = static_cast<std::uint32_t>(rng.next_below(40));
+    const auto problem = random_problem(rng, boxes, requests, 3,
+                                        0.05 + 0.4 * rng.next_double());
+    const auto reference = problem.solve();
+    if (!reference.complete) ++short_rounds;
+
+    // Carries: none, a candidate, any box, or a box that no longer exists.
+    std::vector<std::int32_t> carry(requests, -1);
+    for (std::uint32_t r = 0; r < requests; ++r) {
+      const auto candidates = problem.candidates(r);
+      if (candidates.empty()) ++empty_rows;
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind < 4 && !candidates.empty()) {
+        carry[r] = static_cast<std::int32_t>(
+            candidates[rng.next_below(candidates.size())]);
+      } else if (kind < 7) {
+        carry[r] = static_cast<std::int32_t>(rng.next_below(boxes));
+      } else if (kind == 7) {
+        carry[r] = static_cast<std::int32_t>(boxes + rng.next_below(3));
+      }
+    }
+    // repair() keeps exactly these: each carry, in request order, that is a
+    // candidate of its request and fits what earlier kept carries left.
+    std::vector<std::uint32_t> load(boxes, 0);
+    std::vector<bool> keeps(requests, false);
+    std::uint64_t expected_kept = 0;
+    for (std::uint32_t r = 0; r < requests; ++r) {
+      if (carry[r] < 0) continue;
+      const auto box = static_cast<std::uint32_t>(carry[r]);
+      const auto candidates = problem.candidates(r);
+      if (box >= boxes || load[box] >= problem.capacity(box) ||
+          std::find(candidates.begin(), candidates.end(), box) ==
+              candidates.end()) {
+        ++stale_carries;
+        continue;
+      }
+      ++load[box];
+      keeps[r] = true;
+      ++expected_kept;
+    }
+
+    std::vector<std::int32_t> assignment = carry;
+    const auto repaired = repairer.repair(problem, assignment);
+    ASSERT_EQ(repaired.served, reference.served) << "trial " << trial;
+    ASSERT_EQ(repaired.kept_connections, expected_kept) << "trial " << trial;
+    ASSERT_EQ(repaired.served,
+              repaired.kept_connections + repaired.new_connections);
+    ASSERT_NO_THROW(f::validate_assignment(
+        problem, f::MatchResult{assignment, repaired.served,
+                                repaired.served == requests}))
+        << "trial " << trial;
+    for (std::uint32_t r = 0; r < requests; ++r) {
+      // Augmenting paths may reroute a kept request, never unserve it.
+      if (keeps[r]) {
+        ASSERT_GE(assignment[r], 0) << "trial " << trial;
+      }
+    }
+
+    // augment() over the CSR mirror: every row from an empty matching, then
+    // again after a box goes offline and a few rows retire.
+    f::CsrProblem csr;
+    if (requests > 0) csr.ensure_row(requests - 1);
+    for (std::uint32_t r = 0; r < requests; ++r) {
+      for (const std::uint32_t b : problem.candidates(r)) csr.add_source(r, b);
+    }
+    f::CsrMatcher augmenter(boxes);
+    augmenter.ensure_rows(requests);
+    const auto check_augmenter = [&](const char* phase) {
+      for (std::uint32_t r = 0; r < requests; ++r) {
+        if (augmenter.assignment(r) < 0)
+          (void)augmenter.augment(csr, problem.capacities(), r);
+      }
+      f::MatchResult match;
+      for (std::uint32_t r = 0; r < requests; ++r) {
+        match.assignment.push_back(augmenter.assignment(r));
+        if (match.assignment.back() >= 0) ++match.served;
+      }
+      match.complete = match.served == requests;
+      ASSERT_EQ(match.served, reference.served)
+          << "trial " << trial << " " << phase;
+      ASSERT_NO_THROW(f::validate_assignment(problem, match))
+          << "trial " << trial << " " << phase;
+    };
+    check_augmenter("from empty");
+    std::vector<std::uint32_t> freed;
+    augmenter.unassign_box(static_cast<std::uint32_t>(rng.next_below(boxes)),
+                           freed);
+    for (std::uint32_t r = 0; r < requests; r += 3) augmenter.unassign(r);
+    check_augmenter("after churn");
+  }
+  EXPECT_GT(empty_rows, 0);
+  EXPECT_GT(stale_carries, 0);
+  EXPECT_GT(short_rounds, 0);
+}
+
+// flow/csr_search_steps counts candidate boxes examined. Serving r1 = {0}
+// behind r0 = {0, 1} (capacity 1 each): r0 takes box 0 (1 step); r1's
+// lookahead finds box 0 full (1), its descent enters box 0 (1), and r0's
+// lookahead passes box 0 and takes box 1 (2).
+TEST(CsrMatcherLookahead, SearchStepsCountExaminedBoxes) {
+  f::ConnectionProblem p(2);
+  p.set_capacities(std::vector<std::uint32_t>{1, 1});
+  p.add_request({0, 1});
+  p.add_request({0});
+  p2pvod::obs::Counter& steps =
+      p2pvod::obs::MetricsRegistry::global().counter("flow/csr_search_steps");
+  const std::uint64_t before = steps.value();
+  f::CsrMatcher matcher;
+  std::vector<std::int32_t> carry;
+  EXPECT_EQ(matcher.repair(p, carry).served, 2u);
+  EXPECT_EQ(carry, (std::vector<std::int32_t>{1, 0}));
+  EXPECT_EQ(steps.value() - before, 5u);
 }
 
 // ----------------------------------------------------------------- min-cost
@@ -918,7 +1121,9 @@ void check_group_budgets(const f::ConnectionProblem& problem,
     if (g != f::kUncappedGroup) ++used[g];
   }
   for (std::size_t g = 0; g < caps.size(); ++g) {
-    if (caps[g] != f::kUncappedGroup) ASSERT_LE(used[g], caps[g]);
+    if (caps[g] != f::kUncappedGroup) {
+      ASSERT_LE(used[g], caps[g]);
+    }
   }
 }
 

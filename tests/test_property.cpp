@@ -59,8 +59,10 @@ TEST_P(Lemma1Sweep, FlowFeasibilityEqualsHallCondition) {
       problem.add_request(std::move(cands));
     }
     std::vector<std::vector<std::uint32_t>> adjacency;
-    for (std::uint32_t r = 0; r < p.requests; ++r)
-      adjacency.push_back(problem.candidates(r));
+    for (std::uint32_t r = 0; r < p.requests; ++r) {
+      const auto candidates = problem.candidates(r);
+      adjacency.emplace_back(candidates.begin(), candidates.end());
+    }
     f::HopcroftKarp hk(adjacency, problem.capacities());
     const bool by_flow = problem.solve().complete;
     const bool by_hk = hk.solve() == p.requests;
